@@ -1,47 +1,27 @@
 """Sparse quantile regression by multi-stage convex relaxation, with a
 proximal dual semismooth Newton solver and a semi-proximal ADMM baseline."""
 
-from .admm import AdmmConfig, AdmmState, admm_beta_update, admm_solve, admm_z_update
-from .datagen import (
-    SyntheticDataset,
-    SyntheticSpec,
-    generate,
-    noise_sd,
-    sample_noise,
-    selection_metrics,
-)
+from .admm import AdmmConfig, admm_solve
+from .datagen import SyntheticSpec, generate, selection_metrics
 from .mscra import (
     MscraConfig,
     StageFailure,
-    StageState,
     lambda_grid,
     mscra_fit,
     rho_schedule,
-    stage_kkt_residual,
     subproblem_inexactness,
 )
-from .pdsn import (
-    PdsnConfig,
-    PdsnState,
-    SubproblemSpec,
-    assemble_newton_matrix,
-    dual_objective,
-    dual_residual_map,
-    kkt_residual,
-    ppa_solve,
-    semismooth_newton,
-)
+from .pdsn import PdsnConfig, SolverError, SubproblemSpec, kkt_residual, ppa_solve
 from .problem import (
-    MatrixNorms,
     QuantileProblem,
     check_loss,
     load_csv,
     matrix_norms,
     nonzero_count,
     standardize,
+    support_mask,
 )
 from .prox import (
-    ProxJacobianElement,
     clarke_jacobian_check_loss_prox,
     clarke_jacobian_weighted_l1_prox,
     moreau_env_check_loss,
@@ -50,6 +30,6 @@ from .prox import (
     prox_weighted_l1,
 )
 from .report import BenchRun, SolverReport
-from .surrogate import PenaltyParams, SurrogateFamily, capped_l1, mcp, scad
+from .surrogate import SurrogateFamily, capped_l1, from_name, mcp, scad
 
 __version__ = "0.1.0"

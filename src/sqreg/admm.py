@@ -17,24 +17,27 @@ from .prox import prox_check_loss, prox_weighted_l1
 from .report import SolverReport
 
 
+STEP = 1.618  # multiplier step length, in (1, (sqrt(5)+1)/2)
+# sigma adaptation: every ADAPT_EVERY iterations sigma is multiplied by
+# ADAPT_FACTOR when eps_pinf/eps_dinf > ADAPT_HIGH and divided by it when the
+# ratio is < ADAPT_LOW
+ADAPT_EVERY = 50
+ADAPT_FACTOR = 1.5
+ADAPT_LOW = 0.1
+ADAPT_HIGH = 10.0
+
+
 @dataclass
 class AdmmConfig:
     sigma0: float = 1.0
-    step: float = 1.618
     j_max: int = 3000
     eps_admm: float = 1e-6
     sigma_adapt: bool = True
-    adapt_every: int = 50
-    adapt_factor: float = 1.5
-    adapt_low: float = 0.1
-    adapt_high: float = 10.0
     record_trace: bool = False
     tail_average: int = 0  # >0: report the ergodic mean of the last K betas
                            # when the iteration cap is reached (oscillation damping)
 
     def __post_init__(self):
-        if not 1.0 < self.step < (np.sqrt(5.0) + 1.0) / 2.0:
-            raise ValueError("step must lie in (1, (sqrt(5)+1)/2)")
         if self.sigma0 <= 0 or self.eps_admm <= 0 or self.j_max < 1:
             raise ValueError("invalid ADMM configuration")
 
@@ -51,26 +54,31 @@ class AdmmState:
     trace: list = None
 
 
-def admm_beta_update(beta, z, u, spec, sigma, gamma_prox):
+def admm_beta_update(beta, s, spec, sigma, gamma_prox):
     """Closed-form minimizer of the beta block with the semi-proximal term.
 
-    Soft threshold of the gradient step
-    beta - (sigma/gamma) X^T (X beta + z - y + u/sigma) at omega/gamma.
+    Soft threshold of the gradient step beta - (sigma/gamma) X^T s at
+    omega/gamma, where s = X beta + z - y + u/sigma.
     """
-    pr = spec.problem
-    grad = pr.design.T @ (pr.design @ beta + z - pr.response + u / sigma)
-    return prox_weighted_l1(beta - (sigma / gamma_prox) * grad, spec.weights, gamma_prox)
+    return prox_weighted_l1(beta - (sigma / gamma_prox) * (spec.problem.design.T @ s),
+                            spec.weights, gamma_prox)
 
 
-def admm_z_update(beta_new, u, spec, sigma):
-    """Exact minimizer of the z block: P_{sigma^{-1}} f_tau (y - X beta - u/sigma)."""
+def admm_z_update(Xb_new, u, spec, sigma):
+    """Exact minimizer of the z block: P_{sigma^{-1}} f_tau (y - X beta - u/sigma),
+    with Xb_new = X beta at the updated beta."""
     pr = spec.problem
-    return prox_check_loss(pr.response - pr.design @ beta_new - u / sigma, sigma, pr.tau, pr.n)
+    return prox_check_loss(pr.response - Xb_new - u / sigma, sigma, pr.tau, pr.n)
 
 
 def _split_objective(beta, z, spec):
     pr = spec.problem
     return check_loss(z, pr.tau) + float(np.sum(spec.weights * np.abs(beta)))
+
+
+def _box_multiplier(u, tau, n):
+    """-u clipped into the check-loss subgradient box [(tau-1)/n, tau/n]."""
+    return np.clip(-u, (tau - 1.0) / n, tau / n)
 
 
 def dual_box_value(u, spec):
@@ -80,18 +88,12 @@ def dual_box_value(u, spec):
     Strictly dual-feasible, so it lower-bounds the primal optimum (used by the
     weak-duality checks)."""
     pr = spec.problem
-    v = np.clip(-u, (pr.tau - 1.0) / pr.n, pr.tau / pr.n)
+    v = _box_multiplier(u, pr.tau, pr.n)
     xv = np.abs(pr.design.T @ v)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(xv > spec.weights, spec.weights / xv, 1.0)
     v = v * float(np.min(ratios, initial=1.0))
     return float(v @ pr.response)
-
-
-def _dual_gap_value(u, y, tau, n):
-    # dual objective at the box-clipped multiplier, for the gap measure
-    v = np.clip(-u, (tau - 1.0) / n, tau / n)
-    return float(v @ y)
 
 
 def admm_solve(spec, cfg=None, z0=None, u0=None):
@@ -115,20 +117,19 @@ def admm_solve(spec, cfg=None, z0=None, u0=None):
     converged = False
     trace = []
     j = 0
-    omega = spec.weights
     Xb = X @ beta
-    dinf_scale = (1.0 / cfg.step - 1.0) ** 2
+    dinf_scale = (1.0 / STEP - 1.0) ** 2
     avg_from = cfg.j_max - cfg.tail_average if cfg.tail_average > 0 else cfg.j_max + 1
     beta_acc = None
     acc_count = 0
     for j in range(1, cfg.j_max + 1):
         s = Xb + z - y + u / sigma
-        beta_new = prox_weighted_l1(beta - (sigma / gamma) * (X.T @ s), omega, gamma)
+        beta_new = admm_beta_update(beta, s, spec, sigma, gamma)
         Xb_new = X @ beta_new
-        z_new = prox_check_loss(y - Xb_new - u / sigma, sigma, pr.tau, n)
-        du = cfg.step * sigma * (Xb_new + z_new - y)
+        z_new = admm_z_update(Xb_new, u, spec, sigma)
+        du = STEP * sigma * (Xb_new + z_new - y)
         u_new = u + du
-        eps_pinf = float(np.linalg.norm(du) / (cfg.step * sigma * ynorm1))
+        eps_pinf = float(np.linalg.norm(du) / (STEP * sigma * ynorm1))
         zeta = X.T @ (du - sigma * s + u) - gamma * (beta_new - beta)
         eps_dinf = float(np.sqrt(zeta @ zeta + dinf_scale * (du @ du)) / ynorm1)
         beta, z, u, Xb = beta_new, z_new, u_new, Xb_new
@@ -136,7 +137,8 @@ def admm_solve(spec, cfg=None, z0=None, u0=None):
             beta_acc = beta.copy() if beta_acc is None else beta_acc + beta
             acc_count += 1
         w_prim = _split_objective(beta, z, spec)
-        w_dual_min = -_dual_gap_value(u, y, pr.tau, n)  # dual objective, min form
+        # dual objective at the box-clipped multiplier, min form
+        w_dual_min = -float(_box_multiplier(u, pr.tau, n) @ y)
         gap_sum = w_prim + w_dual_min
         eps_gap = float(abs(gap_sum) / max(1.0, 0.5 * gap_sum))
         if cfg.record_trace:
@@ -144,19 +146,19 @@ def admm_solve(spec, cfg=None, z0=None, u0=None):
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.eps_admm:
             converged = True
             break
-        if cfg.sigma_adapt and j % cfg.adapt_every == 0 and eps_dinf > 0:
+        if cfg.sigma_adapt and j % ADAPT_EVERY == 0 and eps_dinf > 0:
             ratio = eps_pinf / eps_dinf
-            if ratio > cfg.adapt_high:
-                sigma *= cfg.adapt_factor
+            if ratio > ADAPT_HIGH:
+                sigma *= ADAPT_FACTOR
                 gamma = sigma * xtx_norm
-            elif ratio < cfg.adapt_low:
-                sigma /= cfg.adapt_factor
+            elif ratio < ADAPT_LOW:
+                sigma /= ADAPT_FACTOR
                 gamma = sigma * xtx_norm
     if not np.all(np.isfinite(beta)) or not np.all(np.isfinite(u)):
         raise FloatingPointError("ADMM produced non-finite iterates")
     if not converged and acc_count > 0:
         beta = beta_acc / acc_count  # ergodic output at the iteration cap
-        z = prox_check_loss(y - X @ beta - u / sigma, sigma, pr.tau, n)
+        z = admm_z_update(X @ beta, u, spec, sigma)
     state = AdmmState(beta=beta, z=z, u=u, sigma=sigma,
                       eps_pinf=eps_pinf, eps_dinf=eps_dinf, eps_gap=eps_gap)
     report = SolverReport(

@@ -3,7 +3,7 @@
 Outputs are JSON for single fits, CSV for sweeps and JSON-lines for benchmark
 tables; every randomized command takes --seed and reproduces identical output
 bytes apart from wall-time fields. Exit codes: 0 success/convergence, 1 input
-error, 2 non-convergence.
+or usage error, 2 non-convergence or solver failure.
 """
 
 import argparse
@@ -15,13 +15,27 @@ import time
 
 import numpy as np
 
-from .admm import AdmmConfig, admm_solve
-from .datagen import SyntheticSpec, generate, selection_metrics
-from .mscra import MscraConfig, lambda_grid, mscra_fit
-from .pdsn import PdsnConfig, SubproblemSpec, ppa_solve
-from .problem import load_csv, nonzero_count, standardize
+from .admm import admm_solve
+from .datagen import HETERO_MAIN, SyntheticSpec, generate, selection_metrics
+from .mscra import MscraConfig, StageFailure, lambda_grid, mscra_fit
+from .pdsn import SolverError, SubproblemSpec, ppa_solve
+from .problem import load_csv, nonzero_count, standardize, support_mask
 from .report import BenchRun
-from .surrogate import from_name
+from .surrogate import KINDS, from_name
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1 (2 means non-convergence)
+    and no abbreviated long flags, so a removed flag cannot pass as a
+    prefix of a kept one."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _write(text, out):
@@ -36,39 +50,38 @@ def _json_dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _add_common(sub, lam=True):
-    sub.add_argument("--tau", type=float, default=0.5)
+def _add_common(sub, tau=True, lam=False, model=False, threads=False):
+    """Add the shared flags a command honours; --seed and --out always."""
+    if tau:
+        sub.add_argument("--tau", type=float, default=0.5)
     if lam:
         group = sub.add_mutually_exclusive_group()
         group.add_argument("--lambda", dest="lam", type=float, default=None)
         group.add_argument("--nu", type=float, default=None)
-    sub.add_argument("--surrogate", choices=("capped-l1", "scad", "mcp"), default="scad")
-    sub.add_argument("--a", type=float, default=3.7)
-    sub.add_argument("--solver", choices=("pdsn", "admm"), default="pdsn")
+    if model:
+        sub.add_argument("--surrogate", choices=KINDS, default="scad")
+        sub.add_argument("--a", type=float, default=3.7)
+        sub.add_argument("--solver", choices=("pdsn", "admm"), default="pdsn")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=0, help="0 = machine parallelism")
+    if threads:
+        sub.add_argument("--threads", type=int, default=0, help="0 = machine parallelism")
     sub.add_argument("--out", default=None)
 
 
-def _mscra_config(args, default_lam=0.1):
-    lam = args.lam
-    nu = getattr(args, "nu", None)
-    if lam is None and nu is None:
-        lam = default_lam
-    return MscraConfig(
-        tau=args.tau,
-        lam=lam if nu is None else None,
-        nu=nu,
-        surrogate=from_name(args.surrogate, args.a),
-        solver=args.solver,
-    )
+def _model(args):
+    """The --solver/--surrogate/--a choice, as a picklable dict for pool workers."""
+    return {"solver": args.solver, "surrogate": args.surrogate, "a": args.a}
 
 
-def _synthetic_spec(args, seed=None):
+def _mscra_config(tau, lam, model, nu=None):
+    return MscraConfig(tau=tau, lam=lam, nu=nu, solver=model["solver"],
+                       surrogate=from_name(model["surrogate"], model["a"]))
+
+
+def _synthetic_spec(args):
     return SyntheticSpec(
         n=args.n, p=args.p, beta_pattern=args.pattern, covariance=args.cov,
-        noise=args.noise, noise_var=args.noise_var, snr=args.snr,
-        seed=args.seed if seed is None else seed,
+        noise=args.noise, noise_var=args.noise_var, snr=args.snr, seed=args.seed,
     )
 
 
@@ -77,14 +90,16 @@ def cmd_fit(args):
     if args.standardize:
         problem = standardize(problem)
     problem = problem.with_tau(args.tau)
-    # default penalty level lambda = max(0.01, 0.1 ||X||_1 / n)
-    default_lam = float(lambda_grid(problem, 0.1, 0.1, 1)[0])
-    cfg = _mscra_config(args, default_lam)
+    lam = args.lam
+    if lam is None and args.nu is None:
+        # default penalty level lambda = max(0.01, 0.1 ||X||_1 / n)
+        lam = float(lambda_grid(problem, 0.1, 0.1, 1)[0])
+    cfg = _mscra_config(args.tau, lam, _model(args), nu=args.nu)
     t0 = time.perf_counter()
     final, history = mscra_fit(problem, cfg)
     wall = (time.perf_counter() - t0) * 1e3
     beta = final.beta
-    nz = np.flatnonzero(np.abs(beta) > 1e-6 * max(1.0, float(np.max(np.abs(beta)))))
+    nz = np.flatnonzero(support_mask(beta))
     report = {
         "beta": [[int(i), float(beta[i])] for i in nz],
         "nnz": final.nnz,
@@ -125,10 +140,7 @@ def cmd_datagen(args):
 def _subproblem_solve(problem, lam, solver):
     weights = np.full(problem.p, lam)
     spec = SubproblemSpec(problem=problem, weights=weights)
-    if solver == "pdsn":
-        state, report = ppa_solve(spec, PdsnConfig())
-        return state.beta, report
-    state, report = admm_solve(spec, AdmmConfig())
+    state, report = (ppa_solve if solver == "pdsn" else admm_solve)(spec)
     return state.beta, report
 
 
@@ -137,6 +149,8 @@ def cmd_lambda_sweep(args):
     problem = ds.problem.with_tau(args.tau)
     lams = lambda_grid(problem, args.gamma_min, args.gamma_max, args.count)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not set(solvers) <= {"pdsn", "admm"}:
+        raise ValueError("--solvers takes a comma-separated subset of pdsn,admm")
     rows = []
     for lam in lams:
         for solver in solvers:
@@ -192,8 +206,7 @@ def _bench_one(payload):
     seed = payload["seed"]
     spec = SyntheticSpec(**payload["spec"], seed=seed)
     ds = generate(spec)
-    cfg = MscraConfig(tau=payload["tau"], lam=payload["lam"], solver=payload["solver"],
-                      surrogate=from_name(payload["surrogate"], payload["a"]))
+    cfg = _mscra_config(payload["tau"], payload["lam"], payload["model"])
     t0 = time.perf_counter()
     final, history = mscra_fit(ds.problem, cfg)
     wall = (time.perf_counter() - t0) * 1e3
@@ -203,13 +216,12 @@ def _bench_one(payload):
            "wall_ms": wall, "solver_ms": solver_ms, "nnz": final.nnz}
     if kind == "hetero":
         beta = final.beta
-        thr = 1e-6 * max(1.0, float(np.max(np.abs(beta))))
-        selected = set(np.flatnonzero(np.abs(beta) > thr).tolist())
-        main = {5, 11, 14, 19}
+        selected = set(np.flatnonzero(support_mask(beta)).tolist())
+        main = set(HETERO_MAIN)
         rec["size"] = len(selected)
         rec["p1"] = 1.0 if main <= selected else 0.0
         rec["p2"] = 1.0 if main <= selected and 0 in selected else 0.0
-        rec["ae"] = float(sum(abs(beta[i] - 1.0) for i in main))
+        rec["ae"] = float(sum(abs(beta[i] - 1.0) for i in HETERO_MAIN))
     else:
         m = selection_metrics(final.beta, ds)
         rec.update({"l2_error": m["l2_error"], "fp": m["fp"], "fn": m["fn"], "size": m["size"]})
@@ -225,15 +237,14 @@ def cmd_bench(args):
         spec = {"n": args.n, "p": args.p, "beta_pattern": "fixed16",
                 "covariance": args.cov, "noise": args.noise, "noise_var": args.noise_var,
                 "snr": None}
-    lam = args.lam
+    lam = args.lam if args.nu is None else 1.0 / args.nu
     if lam is None:
         gamma = args.gamma if args.gamma is not None else (0.1 if kind == "hetero" else 0.116)
         probe = generate(SyntheticSpec(**spec, seed=args.seed))
         lam = float(lambda_grid(probe.problem, gamma, gamma, 1)[0])
     scenario = f"{args.model}:{args.cov}:{args.noise}:tau{args.tau}"
     payloads = [{"kind": kind, "spec": spec, "seed": args.seed ^ r, "rep": r,
-                 "tau": args.tau, "lam": lam, "solver": args.solver,
-                 "surrogate": args.surrogate, "a": args.a}
+                 "tau": args.tau, "lam": lam, "model": _model(args)}
                 for r in range(args.reps)]
     records = _run_pool(_bench_one, payloads, args.threads)
     records.sort(key=lambda r: r["rep"])
@@ -247,7 +258,7 @@ def cmd_bench(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="sqreg", description=__doc__)
+    ap = _Parser(prog="sqreg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit one CSV dataset")
@@ -255,7 +266,7 @@ def build_parser():
     fit.add_argument("--header", action="store_true")
     fit.add_argument("--intercept", action="store_true")
     fit.add_argument("--standardize", action="store_true")
-    _add_common(fit)
+    _add_common(fit, lam=True, model=True)
     fit.set_defaults(fn=cmd_fit)
 
     dg = sub.add_parser("datagen", help="emit a synthetic CSV + JSON sidecar")
@@ -283,7 +294,7 @@ def build_parser():
     ls.add_argument("--gamma-max", type=float, default=0.25)
     ls.add_argument("--count", type=int, default=50)
     ls.add_argument("--solvers", default="pdsn,admm")
-    _add_common(ls, lam=False)
+    _add_common(ls)
     ls.set_defaults(fn=cmd_lambda_sweep)
 
     ts = sub.add_parser("tau-sweep", help="sweep the quantile level with full fits")
@@ -298,7 +309,7 @@ def build_parser():
     ts.add_argument("--tau-max", type=float, default=0.95)
     ts.add_argument("--tau-step", type=float, default=0.05)
     ts.add_argument("--reps", type=int, default=10)
-    _add_common(ts, lam=False)
+    _add_common(ts, tau=False, threads=True)
     ts.set_defaults(fn=cmd_tau_sweep)
 
     bn = sub.add_parser("bench", help="replicated benchmark scenario (JSON-lines)")
@@ -311,7 +322,7 @@ def build_parser():
     bn.add_argument("--gamma", type=float, default=None,
                     help="penalty scale; default 0.116 (fixed16) or 0.1 (hetero)")
     bn.add_argument("--reps", type=int, default=10)
-    _add_common(bn)
+    _add_common(bn, lam=True, model=True, threads=True)
     bn.set_defaults(fn=cmd_bench)
 
     return ap
@@ -328,6 +339,9 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except (StageFailure, SolverError, FloatingPointError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

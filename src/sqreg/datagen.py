@@ -12,7 +12,7 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.special import ndtr, ndtri, stdtrit
 
-from .problem import QuantileProblem
+from .problem import QuantileProblem, support_mask
 
 BETA_PATTERNS = ("alternating-decay", "fixed16", "random-support", "hetero")
 NOISE_KINDS = ("normal", "mn1", "mn2", "laplace", "t4", "cauchy")
@@ -222,21 +222,14 @@ def generate(spec):
     return SyntheticDataset(problem=problem, beta_true=beta)
 
 
-def selection_metrics(estimate, truth, nnz_rule=None):
-    """l2 error and support-recovery counts of an estimate.
-
-    nnz_rule: optional callable mapping the estimate to selected indices;
-    defaults to |beta_i| > 1e-6 max(1, ||beta||_inf).
-    """
+def selection_metrics(estimate, truth):
+    """l2 error and support-recovery counts of an estimate, whose selected
+    entries are those of ``problem.support_mask``."""
     est = np.asarray(estimate, dtype=float)
     bt = truth.beta_true
     if est.shape != bt.shape:
         raise ValueError("estimate and truth dimensions differ")
-    if nnz_rule is None:
-        thr = 1e-6 * max(1.0, float(np.max(np.abs(est))) if est.size else 0.0)
-        selected = set(np.flatnonzero(np.abs(est) > thr).tolist())
-    else:
-        selected = set(int(i) for i in nnz_rule(est))
+    selected = set(np.flatnonzero(support_mask(est)).tolist())
     support = set(truth.support)
     return {
         "l2_error": float(np.linalg.norm(est - bt)),

@@ -11,22 +11,25 @@ import numpy as np
 from dataclasses import dataclass, field
 from scipy.optimize import minimize
 
-from .admm import AdmmConfig, admm_solve
-from .pdsn import PdsnConfig, SubproblemSpec, ppa_solve
+from .admm import admm_solve
+from .pdsn import PdsnConfig, SolverError, SubproblemSpec, ppa_solve
+from .pdsn import kkt_residual as stage_kkt_residual
 from .problem import matrix_norms, nonzero_count
-from .prox import prox_check_loss, prox_weighted_l1
 from .surrogate import SurrogateFamily, scad
+
+RHO_CAP = 1e8       # stages 2-3 keep rho_k <= RHO_CAP / ||beta||_inf
+RHO_GROWTH = 1.25   # stages 2-3 grow rho_k by at most this factor
 
 
 @dataclass
-
-
 class MscraConfig:
     """Driver configuration.
 
     Exactly one of ``lam`` and ``nu`` is required (lambda = rho0/nu with
     rho0 = 1). ``rho_freeze`` pins rho_k to a constant for every stage, which
-    turns the driver into an exact majorization-minimization iteration.
+    turns the stage loop into an exact majorization-minimization iteration. The
+    stage-0 weights are w^0 = 0, so stage 1 is the plain weighted-l1 fit with
+    weights lambda.
     """
 
     tau: float = 0.5
@@ -37,13 +40,9 @@ class MscraConfig:
     max_stages: int = 10
     stage_tol: float = 1e-5
     err_change_tol: float = 1e-6
-    rho_cap: float = 1e8
-    rho_growth: float = 1.25
     rho_freeze: float = None
     penalize_intercept: bool = False
-    w0: np.ndarray = None
     pdsn: PdsnConfig = field(default_factory=PdsnConfig)
-    admm: AdmmConfig = field(default_factory=AdmmConfig)
 
     def __post_init__(self):
         if (self.lam is None) == (self.nu is None):
@@ -71,8 +70,6 @@ class StageFailure(RuntimeError):
 
 
 @dataclass
-
-
 class StageState:
     k: int
     beta: np.ndarray
@@ -95,11 +92,11 @@ class StageState:
         }
 
 
-def rho_schedule(k, beta, prev_rho, cap=1e8, growth=1.25):
+def rho_schedule(k, beta, prev_rho):
     """Stage-k penalty level.
 
-    Stage 1: max(1, 1/(3 ||beta||_inf)); stages 2-3: min(growth*prev,
-    cap/||beta||_inf) floored at prev to keep rho nondecreasing; constant
+    Stage 1: max(1, 1/(3 ||beta||_inf)); stages 2-3: min(RHO_GROWTH*prev,
+    RHO_CAP/||beta||_inf) floored at prev to keep rho nondecreasing; constant
     afterwards. Returns (rho, degenerate_flag); a zero stage-1 fit gives
     rho = 1 with the flag set.
     """
@@ -109,7 +106,7 @@ def rho_schedule(k, beta, prev_rho, cap=1e8, growth=1.25):
             return 1.0, True
         return max(1.0, 1.0 / (3.0 * bmax)), False
     if k in (2, 3):
-        raw = growth * prev_rho if bmax == 0.0 else min(growth * prev_rho, cap / bmax)
+        raw = RHO_GROWTH * prev_rho if bmax == 0.0 else min(RHO_GROWTH * prev_rho, RHO_CAP / bmax)
         return max(prev_rho, raw), False
     return prev_rho, False
 
@@ -124,20 +121,6 @@ def lambda_grid(problem, gamma_min, gamma_max, count):
     scale = matrix_norms(problem.design).col_sum / problem.n
     gammas = np.linspace(gamma_min, gamma_max, count) if count > 1 else np.array([gamma_min])
     return np.maximum(0.01, gammas * scale)
-
-
-def stage_kkt_residual(problem, beta, z, u, weights):
-    """KKT residual of the coupled penalized problem at (beta, z, u) with the
-    stage weights lambda (1 - w^k).
-
-    The weighted-l1 block uses the Moreau-complement form
-    beta - P_1 h(beta + X^T u), which vanishes exactly at KKT points.
-    """
-    b1 = z - prox_check_loss(z + u, 1.0, problem.tau, problem.n)
-    b2 = beta - prox_weighted_l1(beta + problem.design.T @ u, weights, 1.0)
-    b3 = problem.response - problem.design @ beta - z
-    num = np.sqrt(np.sum(b1**2) + np.sum(b2**2) + np.sum(b3**2))
-    return float(num / (1.0 + np.linalg.norm(problem.response)))
 
 
 def subproblem_inexactness(beta, w_prev, problem, lam, weights=None, kink_tol=1e-9):
@@ -174,12 +157,19 @@ def subproblem_inexactness(beta, w_prev, problem, lam, weights=None, kink_tol=1e
 
 
 def _solve_stage(spec, cfg, warm):
+    """Solve one stage warm started from ``warm``, the previous stage's
+    (z, u_kkt) or None; returns (beta, (z, u_kkt), report).
+
+    u_kkt is the multiplier in the KKT orientation: u_kkt lies in the f_tau
+    subgradient at z. pdsn starts from u_kkt alone, admm from both.
+    """
+    z, u_kkt = warm or (None, None)
     if cfg.solver == "pdsn":
-        state, report = ppa_solve(spec, cfg.pdsn, u0=warm.get("u_kkt"))
-        return state.beta, state.u, {"u_kkt": state.u}, report
-    state, report = admm_solve(spec, cfg.admm, z0=warm.get("z"), u0=warm.get("u_admm"))
+        state, report = ppa_solve(spec, cfg.pdsn, u0=u_kkt)
+        return state.beta, (state.z, state.u), report
     # the sPADMM multiplier satisfies -u in the f_tau subgradient at z
-    return state.beta, -state.u, {"u_admm": state.u, "z": state.z}, report
+    state, report = admm_solve(spec, z0=z, u0=None if u_kkt is None else -u_kkt)
+    return state.beta, (state.z, -state.u), report
 
 
 def mscra_fit(problem, cfg):
@@ -192,12 +182,10 @@ def mscra_fit(problem, cfg):
     """
     problem = problem.with_tau(cfg.tau)
     p = problem.p
-    w = np.zeros(p) if cfg.w0 is None else np.asarray(cfg.w0, dtype=float).copy()
-    if w.shape != (p,) or np.any(w < 0.0) or np.any(w > 0.5):
-        raise ValueError("w0 must lie in [0, 0.5]^p")
+    w = np.zeros(p)
     beta = np.zeros(p)
     rho = 1.0 if cfg.rho_freeze is None else float(cfg.rho_freeze)
-    warm = {}
+    warm = None
     history = []
     errs = {}
     nnzs = {}
@@ -208,11 +196,11 @@ def mscra_fit(problem, cfg):
             omega[0] = 0.0
         spec = SubproblemSpec(problem=problem, weights=omega, anchor=beta)
         try:
-            beta, u_kkt, warm, report = _solve_stage(spec, cfg, warm)
-        except (FloatingPointError, RuntimeError) as exc:
+            beta, warm, report = _solve_stage(spec, cfg, warm)
+        except (FloatingPointError, SolverError) as exc:
             raise StageFailure(f"stage {k} solver failed: {exc}", history) from exc
         if cfg.rho_freeze is None:
-            rho, degenerate = rho_schedule(k, beta, rho, cfg.rho_cap, cfg.rho_growth)
+            rho, degenerate = rho_schedule(k, beta, rho)
         else:
             degenerate = False
         w = np.asarray(cfg.surrogate.w_update(rho, np.abs(beta)), dtype=float)
@@ -220,7 +208,7 @@ def mscra_fit(problem, cfg):
             w[0] = 1.0  # intercept weight stays zero next stage
         z = problem.response - problem.design @ beta
         omega_k = cfg.lam * (1.0 - w)
-        err_k = stage_kkt_residual(problem, beta, z, u_kkt, omega_k)
+        err_k = stage_kkt_residual(problem, beta, z, warm[1], omega_k)
         nnz = nonzero_count(beta)
         stage = StageState(k=k, beta=beta, w=w, rho=rho, err_k=err_k, nnz=nnz,
                            solver_report=report)

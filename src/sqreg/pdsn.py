@@ -19,12 +19,28 @@ from .problem import check_loss
 from .prox import (
     clarke_jacobian_check_loss_prox,
     clarke_jacobian_weighted_l1_prox,
-    moreau_env_check_loss,
-    moreau_env_weighted_l1,
     prox_check_loss,
     prox_weighted_l1,
 )
 from .report import SolverReport
+
+# Reference configuration. The proximal weights start at gamma_1 = gamma_2 =
+# max(min(0.1, R0), GAMMA_FLOOR) with R0 the initial KKT residual and shrink
+# together by SHRINK per accepted PPA step down to GAMMA_FLOOR. The PPA tolerance starts at EPS_PPA_0
+# and drops tenfold per step to eps_ppa_floor; each inner Newton solve stops
+# at NEWTON_TOL_FACTOR times it.
+GAMMA_FLOOR = 1e-8
+SHRINK = 5.0 / 7.0
+EPS_PPA_0 = 1e-6
+NEWTON_TOL_FACTOR = 0.1
+WOLFE_C1 = 1e-4  # strong-Wolfe sufficient decrease
+WOLFE_C2 = 0.9   # strong-Wolfe curvature
+MAX_ZOOM = 50    # line-search zoom steps
+CG_TOL = 1e-9    # relative residual of the CG Newton solve
+
+
+class SolverError(RuntimeError):
+    """A subproblem solver failed numerically (not a non-convergence)."""
 
 
 @dataclass
@@ -58,30 +74,15 @@ class SubproblemSpec:
 
 @dataclass
 class PdsnConfig:
-    gamma1_0: float = None  # default min(0.1, initial KKT residual)
-    gamma2_0: float = None
-    gamma_floor: float = 1e-8
-    shrink: float = 5.0 / 7.0
-    eps_ppa_0: float = 1e-6
     eps_ppa_floor: float = 1e-8
-    newton_mu: float = 1e-5
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
+    newton_mu: float = 1e-5  # regularization mu I of the Newton matrix
     max_ppa_iters: int = 100
     max_newton_iters: int = 100
-    newton_tol_factor: float = 0.1
-    warm_start_newton: bool = True
-    tie_rule: str = "zero"
     dense_solve_max_n: int = 2000  # above this, use Jacobi-preconditioned CG
-    cg_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.gamma_floor <= 0 or not 0.0 < self.shrink < 1.0:
-            raise ValueError("need gamma_floor > 0 and shrink in (0,1)")
-        if self.eps_ppa_0 <= 0 or self.eps_ppa_floor <= 0 or self.newton_mu <= 0:
+        if self.eps_ppa_floor <= 0 or self.newton_mu <= 0:
             raise ValueError("tolerances and mu must be positive")
-        if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
-            raise ValueError("need 0 < c1 < c2 < 1")
         if self.max_ppa_iters < 1 or self.max_newton_iters < 1:
             raise ValueError("iteration caps must be >= 1")
 
@@ -91,25 +92,29 @@ class PdsnState:
     beta: np.ndarray
     z: np.ndarray
     u: np.ndarray
-    gamma1: float
-    gamma2: float
     err_ppa: float
-    inner_newton_iters: int
     trace: list = field(default_factory=list)
 
 
-def kkt_residual(beta, z, u, spec):
-    """Relative KKT residual of the subproblem at (beta, z, u).
+def kkt_residual(problem, beta, z, u, weights, delta=None):
+    """Relative KKT residual at (beta, z, u) of
+
+        min f_tau(z) + sum_i weights_i |beta_i| - <delta, beta>  s.t.  X beta + z = y.
 
     Zero exactly when u is a check-loss subgradient at z, X^T u + delta is a
-    weighted-l1 subgradient at beta, and y - X beta - z = 0.
+    weighted-l1 subgradient at beta, and y - X beta - z = 0. The weighted-l1
+    block uses the Moreau-complement form beta - P_1 h(beta + X^T u + delta).
+    ``delta=None`` is a zero shift, as in the stage residual of the coupled
+    penalized problem.
     """
-    pr = spec.problem
-    b1 = z - prox_check_loss(z + u, 1.0, pr.tau, pr.n)
-    b2 = beta - prox_weighted_l1(beta + pr.design.T @ u + spec.delta, spec.weights, 1.0)
-    b3 = pr.response - pr.design @ beta - z
+    v = beta + problem.design.T @ u
+    if delta is not None:
+        v = v + delta
+    b1 = z - prox_check_loss(z + u, 1.0, problem.tau, problem.n)
+    b2 = beta - prox_weighted_l1(v, weights, 1.0)
+    b3 = problem.response - problem.design @ beta - z
     num = np.sqrt(np.sum(b1**2) + np.sum(b2**2) + np.sum(b3**2))
-    return float(num / (1.0 + np.linalg.norm(pr.response)))
+    return float(num / (1.0 + np.linalg.norm(problem.response)))
 
 
 class _DualWork:
@@ -134,53 +139,43 @@ class _DualWork:
         self.thr1 = self.omega / self.g1
 
     def prox_args(self, u, Xtu):
-        q2 = self.zj - u / self.g2
-        q1 = self.bj - (Xtu - self.delta) / self.g1
-        return q1, q2
+        """(q1, q2, X^T u - delta) with q1 = beta^j - (X^T u - delta)/g1 and
+        q2 = z^j - u/g2, the arguments of the two proxes."""
+        xd = Xtu - self.delta
+        return self.bj - xd / self.g1, self.zj - u / self.g2, xd
+
+    def _value_images(self, u, Xtu):
+        """Psi(u) with the prox images pz, pb, from the box-projection
+        identities pz = q2 - clip(q2, lo, hi) and pb = q1 - clip(q1, -thr, thr)."""
+        g1, g2 = self.g1, self.g2
+        q1, q2, xd = self.prox_args(u, Xtu)
+        cz = np.clip(q2, self.lo2, self.hi2)
+        pz = q2 - cz
+        cb = np.clip(q1, -self.thr1, self.thr1)
+        pb = q1 - cb
+        env_f = float((self.tau - (pz <= 0)) @ pz) / self.n + 0.5 * g2 * float(cz @ cz)
+        env_h = float(self.omega @ np.abs(pb)) + 0.5 * g1 * float(cb @ cb)
+        quad = 0.5 * float(u @ u) / g2 + 0.5 * float(xd @ xd) / g1
+        return quad - env_f - env_h + self.const, pz, pb
 
     def value(self, u, Xtu):
         """Psi(u); the dual minimum equals minus the regularized primal minimum."""
-        q1, q2 = self.prox_args(u, Xtu)
-        env_f = moreau_env_check_loss(q2, self.g2, self.tau, self.n)
-        env_h = moreau_env_weighted_l1(q1, self.omega, self.g1)
-        quad = 0.5 * float(u @ u) / self.g2 + 0.5 * float(np.sum((Xtu - self.delta) ** 2)) / self.g1
-        return quad - env_f - env_h + self.const
+        return self._value_images(u, Xtu)[0]
 
     def value_dir_deriv(self, u, Xtu, d, Xtd):
-        """(Psi(u), <grad Psi(u), d>) without forming the full gradient.
-
-        Uses the box-projection identities pz = q2 - clip(q2, lo, hi) and
-        pb = q1 - clip(q1, -thr, thr) for both proxes.
-        """
-        g1, g2, tau, n = self.g1, self.g2, self.tau, self.n
-        q2 = self.zj - u / g2
-        cz = np.clip(q2, self.lo2, self.hi2)
-        pz = q2 - cz
-        xd = Xtu - self.delta
-        q1 = self.bj - xd / g1
-        cb = np.clip(q1, -self.thr1, self.thr1)
-        pb = q1 - cb
-        env_f = float((tau - (pz <= 0)) @ pz) / n + 0.5 * g2 * float(cz @ cz)
-        env_h = float(self.omega @ np.abs(pb)) + 0.5 * g1 * float(cb @ cb)
-        quad = 0.5 * float(u @ u) / g2 + 0.5 * float(xd @ xd) / g1
-        psi = quad - env_f - env_h + self.const
+        """(Psi(u), <grad Psi(u), d>) without forming the full gradient."""
+        psi, pz, pb = self._value_images(u, Xtu)
         # <Phi(u), d> = <y - pz, d> - <pb, X^T d>
-        dd = float((self.y - pz) @ d - pb @ Xtd)
-        return psi, dd
+        return psi, float((self.y - pz) @ d - pb @ Xtd)
 
     def gradient(self, u, Xtu):
         """Phi(u) = y - P f_tau(z^j - u/g2) - X P h(beta^j - (X^T u - delta)/g1),
         plus the prox images used to assemble it."""
-        q1, q2 = self.prox_args(u, Xtu)
+        q1, q2, _ = self.prox_args(u, Xtu)
         pz = prox_check_loss(q2, self.g2, self.tau, self.n)
         pb = prox_weighted_l1(q1, self.omega, self.g1)
         phi = self.y - pz - self.X @ pb
         return phi, pz, pb, q1, q2
-
-    def jacobian_diags(self, q1, q2, tie_rule):
-        udiag = clarke_jacobian_check_loss_prox(q2, self.g2, self.tau, self.n, tie_rule).diag
-        vdiag = clarke_jacobian_weighted_l1_prox(q1, self.omega, self.g1, tie_rule).diag
-        return udiag, vdiag
 
     def active_gram(self, mask):
         """X_J X_J^T over the active columns, from the cheaper side."""
@@ -193,15 +188,17 @@ class _DualWork:
             return Xa @ Xa.T
         return np.zeros((self.n, self.n))
 
-    def newton_matrix_solve(self, q1, q2, rhs, mu, tie_rule, cfg, cache=None):
+    def newton_matrix_solve(self, q1, q2, rhs, cfg, cache=None):
         """Solve (gamma2^{-1} U + gamma1^{-1} X V X^T + mu I) d = rhs.
 
-        U, V are 0/1 diagonal Clarke elements at the current prox arguments.
-        The unscaled active Gram X_J X_J^T is kept in ``cache`` across calls
-        and rank-updated when the active set changes by a few columns.
+        U, V are 0/1 diagonal Clarke elements at the current prox arguments
+        and mu = cfg.newton_mu. The unscaled active Gram X_J X_J^T is kept in
+        ``cache`` across calls and rank-updated when the active set changes
+        by a few columns.
         """
-        udiag, vdiag = self.jacobian_diags(q1, q2, tie_rule)
-        dvec = udiag / self.g2 + mu
+        udiag = clarke_jacobian_check_loss_prox(q2, self.g2, self.tau, self.n)
+        vdiag = clarke_jacobian_weighted_l1_prox(q1, self.omega, self.g1)
+        dvec = udiag / self.g2 + cfg.newton_mu
         mask = vdiag > 0.0
         if self.n > cfg.dense_solve_max_n:
             Xa = self.X[:, mask]
@@ -212,9 +209,9 @@ class _DualWork:
             op = LinearOperator((self.n, self.n), matvec=matvec)
             jacobi = dvec + np.sum(Xa**2, axis=1) / self.g1
             pre = LinearOperator((self.n, self.n), matvec=lambda v: v / jacobi)
-            sol, info = cg(op, rhs, rtol=cfg.cg_tol, atol=0.0, M=pre, maxiter=10 * self.n)
+            sol, info = cg(op, rhs, rtol=CG_TOL, atol=0.0, M=pre, maxiter=10 * self.n)
             if info != 0:
-                raise RuntimeError("conjugate gradient failed on the Newton system")
+                raise SolverError("conjugate gradient failed on the Newton system")
             return sol
         if cache is None or cache.get("mask") is None:
             W0 = self.active_gram(mask)
@@ -245,7 +242,7 @@ class _DualWork:
         return np.linalg.solve(W, rhs)
 
 
-def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0, c1, c2, max_zoom=50):
+def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
     """Strong-Wolfe step along d by bracketing + safeguarded bisection.
 
     The zoom trial point is the secant root of the directional derivative
@@ -262,6 +259,7 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0, c1, c2, max_zoom=50):
     evals = 0
     a_prev, psi_prev, dpsi_prev = 0.0, psi0, dpsi0
     a = 1.0
+    c1, c2 = WOLFE_C1, WOLFE_C2
     bracket = None
     for _ in range(30):
         psi_a, dpsi_a = ev(a)
@@ -285,7 +283,7 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0, c1, c2, max_zoom=50):
         return a_prev, psi_prev, evals, a_prev > 0.0
     lo, psi_lo, dlo, hi, psi_hi, dhi = bracket
     best_a, best_psi = lo, psi_lo
-    for _ in range(max_zoom):
+    for _ in range(MAX_ZOOM):
         span = hi - lo
         denom = dhi - dlo
         a = lo - dlo * span / denom if abs(denom) > 0.0 else 0.5 * (lo + hi)
@@ -323,13 +321,13 @@ def _newton_solve(work, u0, tol, cfg, cache=None):
         res = np.linalg.norm(phi) / ynorm1
         if res <= tol:
             break
-        d = work.newton_matrix_solve(q1, q2, -phi, cfg.newton_mu, cfg.tie_rule, cfg, cache)
+        d = work.newton_matrix_solve(q1, q2, -phi, cfg, cache)
         Xtd = work.X.T @ d
         psi0, dpsi0 = work.value_dir_deriv(u, Xtu, d, Xtd)
         psi_trace.append(psi0)
         if dpsi0 >= 0.0:  # numerically flat; nothing left to gain
             break
-        alpha, _, _, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0, cfg.wolfe_c1, cfg.wolfe_c2)
+        alpha, _, _, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0)
         if not ok and alpha == 0.0:
             warn.append("line search made no progress")
             break
@@ -347,47 +345,9 @@ def _newton_solve(work, u0, tol, cfg, cache=None):
         "iters": iters,
         "phi_rel": float(res),
         "beta_image": pb,
-        "z_image": pz,
         "warnings": warn,
         "psi_trace": psi_trace,
-        "Xtu": Xtu,
     }
-
-
-def dual_objective(u, state, spec):
-    """Dual value Psi at u for the PPA step anchored at state.beta."""
-    work = _DualWork(spec, state.beta, state.gamma1, state.gamma2)
-    u = np.asarray(u, dtype=float)
-    return work.value(u, work.X.T @ u)
-
-
-def dual_residual_map(u, state, spec):
-    """Gradient Phi of the dual objective at u (the semismooth system)."""
-    work = _DualWork(spec, state.beta, state.gamma1, state.gamma2)
-    u = np.asarray(u, dtype=float)
-    phi, *_ = work.gradient(u, work.X.T @ u)
-    return phi
-
-
-def assemble_newton_matrix(u, state, spec, tie_rule="zero", mu=1e-5):
-    """Dense W + mu I with W = gamma2^{-1} U + gamma1^{-1} X V X^T."""
-    work = _DualWork(spec, state.beta, state.gamma1, state.gamma2)
-    u = np.asarray(u, dtype=float)
-    q1, q2 = work.prox_args(u, work.X.T @ u)
-    udiag = clarke_jacobian_check_loss_prox(q2, work.g2, work.tau, work.n, tie_rule).diag
-    vdiag = clarke_jacobian_weighted_l1_prox(q1, work.omega, work.g1, tie_rule).diag
-    W = (work.X * vdiag) @ work.X.T / work.g1
-    W[np.diag_indices_from(W)] += udiag / work.g2 + mu
-    return W
-
-
-def semismooth_newton(spec, state, cfg, tol=None):
-    """Run the inner Newton method from state.u; returns (u, iters)."""
-    work = _DualWork(spec, state.beta, state.gamma1, state.gamma2)
-    tol = cfg.newton_tol_factor * cfg.eps_ppa_0 if tol is None else tol
-    u0 = np.zeros(work.n) if state.u is None else -np.asarray(state.u, float)
-    u, info = _newton_solve(work, u0, tol, cfg)
-    return u, info["iters"]
 
 
 def ppa_solve(spec, cfg=None, u0=None):
@@ -396,9 +356,9 @@ def ppa_solve(spec, cfg=None, u0=None):
     Parameters
     ----------
     spec : SubproblemSpec with the data, weights, shift and warm-start anchor.
-    cfg : PdsnConfig; defaults follow the reference configuration
+    cfg : PdsnConfig; the gamma and eps schedules are the module constants
         (gamma_{1,0} = gamma_{2,0} = min(0.1, R0), shrink 5/7, floor 1e-8,
-        eps schedule 1e-6 -> max(1e-8, eps/10)).
+        eps schedule 1e-6 -> max(eps_ppa_floor, eps/10)).
     u0 : optional warm-start multiplier in the KKT orientation
         (u in the subgradient of f_tau at z).
     """
@@ -409,11 +369,9 @@ def ppa_solve(spec, cfg=None, u0=None):
     beta = np.asarray(spec.anchor, dtype=float).copy()
     z = y - X @ beta
     u_kkt = np.zeros(pr.n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    err = kkt_residual(beta, z, u_kkt, spec)
-    r0 = err
-    g1 = cfg.gamma1_0 if cfg.gamma1_0 is not None else max(min(0.1, r0), cfg.gamma_floor)
-    g2 = cfg.gamma2_0 if cfg.gamma2_0 is not None else max(min(0.1, r0), cfg.gamma_floor)
-    eps = cfg.eps_ppa_0
+    err = kkt_residual(pr, beta, z, u_kkt, spec.weights, spec.delta)
+    gamma = max(min(0.1, err), GAMMA_FLOOR)  # gamma_1 = gamma_2 throughout
+    eps = EPS_PPA_0
     u_psi = -u_kkt
     total_newton = 0
     warnings = []
@@ -426,9 +384,8 @@ def ppa_solve(spec, cfg=None, u0=None):
     trace = [cur_obj]
     stalls = 0
     while not converged and ppa_iters < cfg.max_ppa_iters:
-        work = _DualWork(spec, beta, g1, g2, gram=gram)
-        start = u_psi if cfg.warm_start_newton else np.zeros(pr.n)
-        u_psi, info = _newton_solve(work, start, cfg.newton_tol_factor * eps, cfg, cache)
+        work = _DualWork(spec, beta, gamma, gamma, gram=gram)
+        u_psi, info = _newton_solve(work, u_psi, NEWTON_TOL_FACTOR * eps, cfg, cache)
         total_newton += info["iters"]
         last_phi_rel = info["phi_rel"]
         warnings.extend(info["warnings"])
@@ -438,8 +395,8 @@ def ppa_solve(spec, cfg=None, u0=None):
         # (beyond numerical slack); an overly inexact inner solve otherwise
         # derails the anchors
         new_obj = spec.objective(beta_new)
-        reg = new_obj + 0.5 * g1 * float(np.sum((beta_new - beta) ** 2))
-        reg += 0.5 * g2 * float(np.sum((X @ (beta_new - beta)) ** 2))
+        reg = new_obj + 0.5 * gamma * float(np.sum((beta_new - beta) ** 2))
+        reg += 0.5 * gamma * float(np.sum((X @ (beta_new - beta)) ** 2))
         if reg > cur_obj + 1e-6 * (1.0 + abs(cur_obj)):
             stalls += 1
             warnings.append("inner solve rejected (insufficient decrease)")
@@ -451,18 +408,14 @@ def ppa_solve(spec, cfg=None, u0=None):
         cur_obj = new_obj
         z = y - X @ beta
         u_kkt = -u_psi
-        err = kkt_residual(beta, z, u_kkt, spec)
+        err = kkt_residual(pr, beta, z, u_kkt, spec.weights, spec.delta)
         trace.append(cur_obj)
         if err <= eps:
             converged = True
             break
         eps = max(cfg.eps_ppa_floor, 0.1 * eps)
-        g1 = max(cfg.gamma_floor, cfg.shrink * g1)
-        g2 = max(cfg.gamma_floor, cfg.shrink * g2)
-    state = PdsnState(
-        beta=beta, z=z, u=u_kkt, gamma1=g1, gamma2=g2,
-        err_ppa=err, inner_newton_iters=total_newton, trace=trace,
-    )
+        gamma = max(GAMMA_FLOOR, SHRINK * gamma)
+    state = PdsnState(beta=beta, z=z, u=u_kkt, err_ppa=err, trace=trace)
     report = SolverReport(
         converged=bool(converged),
         iterations=ppa_iters,

@@ -191,8 +191,13 @@ def load_csv(path, has_header=False, add_intercept=False):
     return QuantileProblem(X, y, tau=0.5, intercept_column=add_intercept)
 
 
-def nonzero_count(beta, rel_tol=1e-6):
-    """Number of entries with |beta_i| > rel_tol * max(1, ||beta||_inf)."""
+def support_mask(beta, rel_tol=1e-6):
+    """Selected entries: |beta_i| > rel_tol * max(1, ||beta||_inf)."""
     beta = np.asarray(beta, dtype=float)
     thr = rel_tol * max(1.0, float(np.max(np.abs(beta))) if beta.size else 0.0)
-    return int(np.count_nonzero(np.abs(beta) > thr))
+    return np.abs(beta) > thr
+
+
+def nonzero_count(beta, rel_tol=1e-6):
+    """Number of entries selected by ``support_mask``."""
+    return int(np.count_nonzero(support_mask(beta, rel_tol)))

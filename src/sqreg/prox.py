@@ -10,22 +10,8 @@ componentwise, with theta_tau(u) = (tau - 1{u<=0}) u.
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 TIE_RULES = ("zero", "one")
-
-
-@dataclass(frozen=True)
-class ProxJacobianElement:
-    """Diagonal of one selected Clarke Jacobian element; entries in [0, 1]."""
-
-    diag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        if d.size and (d.min() < 0.0 or d.max() > 1.0):
-            raise ValueError("Jacobian diagonal entries must lie in [0,1]")
-        object.__setattr__(self, "diag", d)
 
 
 def prox_weighted_l1(z, omega, gamma):
@@ -77,25 +63,24 @@ def _tie_value(tie_rule):
 def clarke_jacobian_check_loss_prox(z, gamma, tau, n, tie_rule="zero"):
     """Diagonal element of the Clarke Jacobian of prox_check_loss at z.
 
-    Entry 1 strictly outside the kinks, 0 strictly inside, tie_rule at a kink.
+    Returns the 0/1 diagonal: 1 strictly outside the kinks, 0 strictly
+    inside, tie_rule at a kink.
     """
     tie = _tie_value(tie_rule)
     z = np.asarray(z, dtype=float)
     hi = tau / (n * gamma)
     lo = (tau - 1.0) / (n * gamma)
-    diag = np.where((z > hi) | (z < lo), 1.0, np.where((z == hi) | (z == lo), tie, 0.0))
-    return ProxJacobianElement(diag=diag)
+    return np.where((z > hi) | (z < lo), 1.0, np.where((z == hi) | (z == lo), tie, 0.0))
 
 
 def clarke_jacobian_weighted_l1_prox(z, omega, gamma, tie_rule="zero"):
     """Diagonal element of the Clarke Jacobian of prox_weighted_l1 at z.
 
-    Entry 1 where |gamma z_i| > omega_i, 0 where strictly below, tie_rule at
-    the kink |gamma z_i| = omega_i.
+    Returns the 0/1 diagonal: 1 where |gamma z_i| > omega_i, 0 where strictly
+    below, tie_rule at the kink |gamma z_i| = omega_i.
     """
     tie = _tie_value(tie_rule)
     z = np.asarray(z, dtype=float)
     omega = np.asarray(omega, dtype=float)
     mag = np.abs(gamma * z)
-    diag = np.where(mag > omega, 1.0, np.where(mag == omega, tie, 0.0))
-    return ProxJacobianElement(diag=diag)
+    return np.where(mag > omega, 1.0, np.where(mag == omega, tie, 0.0))

@@ -17,19 +17,6 @@ KINDS = ("capped-l1", "scad", "mcp")
 
 
 @dataclass(frozen=True)
-class PenaltyParams:
-    """Penalty parameterization: nu > 0, lambda = rho0/nu, current rho."""
-
-    nu: float
-    lam: float
-    rho: float
-
-    def __post_init__(self):
-        if min(self.nu, self.lam, self.rho) <= 0:
-            raise ValueError("nu, lambda and rho must be strictly positive")
-
-
-@dataclass(frozen=True)
 class SurrogateFamily:
     kind: str
     a: float = float("nan")

@@ -30,7 +30,9 @@ from sqreg import (
     ppa_solve,
     scad,
     selection_metrics,
+    support_mask,
 )
+from sqreg.datagen import HETERO_MAIN
 from sqreg.cli import main as cli_main
 from sqreg.pdsn import _DualWork
 
@@ -221,10 +223,8 @@ def test_c7_heteroscedastic_identification():
             ds = generate(SyntheticSpec(n=n, p=p, beta_pattern="hetero", seed=20240500 + rep))
             lam = float(lambda_grid(ds.problem, 0.1, 0.1, 1)[0])
             final, _ = mscra_fit(ds.problem, MscraConfig(tau=tau, lam=lam))
-            beta = final.beta
-            thr = 1e-6 * max(1.0, float(np.max(np.abs(beta))))
-            sel = set(np.flatnonzero(np.abs(beta) > thr).tolist())
-            p2.append(1.0 if {5, 11, 14, 19} <= sel and 0 in sel else 0.0)
+            sel = set(np.flatnonzero(support_mask(final.beta)).tolist())
+            p2.append(1.0 if set(HETERO_MAIN) <= sel and 0 in sel else 0.0)
         results[tau] = float(np.mean(p2))
     wall = time.perf_counter() - t0
     assert results[0.5] == 0.0

@@ -76,6 +76,9 @@ def test_lambda_sweep(tmp_path):
     for i in range(0, 10, 2):
         a, b = float(rows[i][2]), float(rows[i + 1][2])
         assert abs(a - b) <= 1e-4 * max(1.0, abs(a), abs(b))
+    # an unknown solver name is an input error, not a silent admm run
+    assert run(["lambda-sweep", "--n", "30", "--p", "12", "--count", "1",
+                "--solvers", "pdsn,lp", "--out", str(out)]) == 1
 
 
 def test_tau_sweep_single_row(tmp_path):
@@ -191,3 +194,57 @@ def test_bench_deterministic(tmp_path):
              "--out", str(out)])
         outs.append(mask_wall(out.read_text()))
     assert outs[0] == outs[1]
+
+
+def test_usage_error_exit_code(tmp_path, capsys):
+    # exit code 2 is reserved for non-convergence; usage errors are input errors
+    # removed flags are errors, also where they prefix a kept flag (--solver/--solvers)
+    for argv in (["fit", "x.csv", "--bogus"], ["fit", "x.csv", "--threads", "2"],
+                 ["lambda-sweep", "--threads", "1"], ["lambda-sweep", "--solver", "pdsn"],
+                 ["tau-sweep", "--tau", "0.3"], ["tau-sweep", "--solver", "admm"],
+                 ["tau-sweep", "--surrogate", "mcp"], ["tau-sweep", "--a", "4.0"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--help"])
+    assert exc.value.code == 0
+
+
+def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    import sqreg.cli as C
+    from sqreg.mscra import StageFailure
+    from sqreg.pdsn import SolverError
+
+    data = write_small_csv(tmp_path)
+    for err in (StageFailure("stage 2 solver failed: boom", []),
+                SolverError("conjugate gradient failed on the Newton system"),
+                FloatingPointError("non-finite dual value in line search"),
+                RuntimeError("not a solver failure")):
+        def failing(problem, cfg, err=err):
+            raise err
+
+        monkeypatch.setattr(C, "mscra_fit", failing)
+        if type(err) is RuntimeError:
+            # a fault outside the solvers keeps its traceback
+            with pytest.raises(RuntimeError, match="not a solver failure"):
+                run(["fit", data, "--lambda", "0.1"])
+            continue
+        assert run(["fit", data, "--lambda", "0.1"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {err}"]
+
+
+def test_fit_explicit_penalty_skips_default_lambda(tmp_path, monkeypatch):
+    import sqreg.cli as C
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("default lambda computed although --lambda/--nu was given")
+
+    data = write_small_csv(tmp_path)
+    monkeypatch.setattr(C, "lambda_grid", no_grid)
+    assert run(["fit", data, "--lambda", "0.1", "--out", str(tmp_path / "a.json")]) == 0
+    assert run(["fit", data, "--nu", "10", "--out", str(tmp_path / "b.json")]) == 0
+    a = mask_wall((tmp_path / "a.json").read_text())
+    assert a == mask_wall((tmp_path / "b.json").read_text())

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sqreg import SyntheticSpec, generate, noise_sd, sample_noise, selection_metrics
-from sqreg.datagen import FIXED16, parse_covariance
+from sqreg import SyntheticSpec, generate, selection_metrics
+from sqreg.datagen import FIXED16, noise_sd, parse_covariance, sample_noise
 
 
 def test_spec_validation():

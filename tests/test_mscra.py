@@ -15,9 +15,9 @@ from sqreg import (
     rho_schedule,
     scad,
     selection_metrics,
-    stage_kkt_residual,
     subproblem_inexactness,
 )
+from sqreg.mscra import stage_kkt_residual
 
 from conftest import make_problem
 
@@ -71,7 +71,7 @@ def test_rho_schedule_values():
     assert rho_schedule(2, np.array([1.0]), 2.0) == (pytest.approx(2.5), False)
     assert rho_schedule(1, np.zeros(3), 1.0) == (1.0, True)
     # floor keeps rho nondecreasing when the cap binds
-    rho, _ = rho_schedule(2, np.array([1e12]), 5.0, cap=1e8)
+    rho, _ = rho_schedule(2, np.array([1e12]), 5.0)
     assert rho == 5.0
     assert rho_schedule(7, np.array([0.4]), 3.3) == (3.3, False)
 

@@ -1,31 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from sqreg import (
     PdsnConfig,
-    PdsnState,
     QuantileProblem,
     SubproblemSpec,
-    assemble_newton_matrix,
     check_loss,
-    dual_objective,
-    dual_residual_map,
+    clarke_jacobian_check_loss_prox,
+    clarke_jacobian_weighted_l1_prox,
     kkt_residual,
     ppa_solve,
-    semismooth_newton,
 )
-from sqreg.pdsn import _DualWork
+from sqreg.pdsn import _DualWork, _newton_solve
 
 from conftest import make_problem, make_subproblem
 
 
-def make_state(spec, beta=None, gamma1=0.05, gamma2=0.05):
-    p = spec.problem.p
-    beta = np.zeros(p) if beta is None else beta
-    z = spec.problem.response - spec.problem.design @ beta
-    return PdsnState(beta=beta, z=z, u=np.zeros(spec.problem.n),
-                     gamma1=gamma1, gamma2=gamma2, err_ppa=np.inf, inner_newton_iters=0)
+def make_work(spec, beta=None, gamma1=0.05, gamma2=0.05):
+    """Dual pieces of the PPA step anchored at beta (default 0)."""
+    beta = np.zeros(spec.problem.p) if beta is None else beta
+    return _DualWork(spec, beta, gamma1, gamma2)
+
+
+def psi(work, u):
+    return work.value(u, work.X.T @ u)
+
+
+def phi(work, u):
+    return work.gradient(u, work.X.T @ u)[0]
 
 
 def lp_oracle(problem, weights):
@@ -41,16 +46,16 @@ def lp_oracle(problem, weights):
 def test_dual_gradient_finite_difference(rng):
     for seed in range(3):
         spec, _ = make_subproblem(seed, 12, 25, lam=0.15)
-        state = make_state(spec, gamma1=0.07, gamma2=0.04)
+        work = make_work(spec, gamma1=0.07, gamma2=0.04)
         for _ in range(4):
             u = 0.05 * rng.standard_normal(12)
-            phi = dual_residual_map(u, state, spec)
+            grad = phi(work, u)
             h = 1e-6
             for i in range(12):
                 e = np.zeros(12)
                 e[i] = h
-                fd = (dual_objective(u + e, state, spec) - dual_objective(u - e, state, spec)) / (2 * h)
-                assert abs(fd - phi[i]) <= 1e-5 * max(1.0, abs(phi[i]))
+                fd = (psi(work, u + e) - psi(work, u - e)) / (2 * h)
+                assert abs(fd - grad[i]) <= 1e-5 * max(1.0, abs(grad[i]))
 
 
 def test_dual_gradient_fd_with_delta(rng):
@@ -58,57 +63,58 @@ def test_dual_gradient_fd_with_delta(rng):
     spec, _ = make_subproblem(7, 10, 18, lam=0.2)
     spec.delta = 0.03 * rng.standard_normal(18)
     spec.anchor = 0.1 * rng.standard_normal(18)
-    state = make_state(spec, beta=spec.anchor.copy())
+    work = make_work(spec, beta=spec.anchor.copy())
     u = 0.02 * rng.standard_normal(10)
-    phi = dual_residual_map(u, state, spec)
+    grad = phi(work, u)
     h = 1e-6
-    fd = np.array([
-        (dual_objective(u + h * e, state, spec) - dual_objective(u - h * e, state, spec)) / (2 * h)
-        for e in np.eye(10)
-    ])
-    assert np.max(np.abs(fd - phi)) <= 1e-5 * max(1.0, np.max(np.abs(phi)))
+    fd = np.array([(psi(work, u + h * e) - psi(work, u - h * e)) / (2 * h) for e in np.eye(10)])
+    assert np.max(np.abs(fd - grad)) <= 1e-5 * max(1.0, np.max(np.abs(grad)))
 
 
 def test_dual_residual_trivial_instance():
     # n=p=1, X=1, y=0, weights 0, anchors 0: Phi(0) = 0
     pr = QuantileProblem(np.array([[1.0]]), np.array([0.0]), tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.zeros(1))
-    state = make_state(spec, gamma1=1.0, gamma2=1.0)
-    assert dual_residual_map(np.zeros(1), state, spec)[0] == pytest.approx(0.0, abs=1e-15)
+    work = make_work(spec, gamma1=1.0, gamma2=1.0)
+    assert phi(work, np.zeros(1))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dual_objective_convex(rng):
     spec, _ = make_subproblem(11, 9, 14, lam=0.1)
-    state = make_state(spec)
+    work = make_work(spec)
     for _ in range(30):
         u1 = rng.standard_normal(9)
         u2 = rng.standard_normal(9)
-        mid = dual_objective(0.5 * (u1 + u2), state, spec)
-        assert mid <= 0.5 * dual_objective(u1, state, spec) + 0.5 * dual_objective(u2, state, spec) + 1e-10
+        mid = psi(work, 0.5 * (u1 + u2))
+        assert mid <= 0.5 * psi(work, u1) + 0.5 * psi(work, u2) + 1e-10
 
 
 def test_newton_matrix_structure(rng):
     spec, _ = make_subproblem(3, 8, 15, lam=0.12)
-    state = make_state(spec)
+    work = make_work(spec)
     u = 0.1 * rng.standard_normal(8)
-    W = assemble_newton_matrix(u, state, spec, mu=1e-5)
+    q1, q2, _ = work.prox_args(u, work.X.T @ u)
+    # dense reference W = gamma2^{-1} U + gamma1^{-1} X V X^T + mu I, mu = 1e-5
+    U = clarke_jacobian_check_loss_prox(q2, work.g2, work.tau, work.n)
+    V = clarke_jacobian_weighted_l1_prox(q1, work.omega, work.g1)
+    W = (work.X * V) @ work.X.T / work.g1 + np.diag(U / work.g2 + 1e-5)
     assert np.allclose(W, W.T)
     assert np.linalg.eigvalsh(W).min() >= 1e-5 - 1e-12
     # dense reference vs structured assembly used by the solver
-    work = _DualWork(spec, state.beta, state.gamma1, state.gamma2)
-    q1, q2 = work.prox_args(u, spec.problem.design.T @ u)
     rhs = rng.standard_normal(8)
-    d = work.newton_matrix_solve(q1, q2, rhs, 1e-5, "zero", PdsnConfig())
+    d = work.newton_matrix_solve(q1, q2, rhs, PdsnConfig(newton_mu=1e-5))
     assert np.allclose(W @ d, rhs, atol=1e-8)
 
 
 def test_newton_matrix_empty_active_set():
     pr = QuantileProblem(np.eye(3), np.array([5.0, -4.0, 3.0]), tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.full(3, 1e3))
-    state = make_state(spec, gamma1=1.0, gamma2=1.0)
-    W = assemble_newton_matrix(np.zeros(3), state, spec, mu=1e-5)
+    work = make_work(spec, gamma1=1.0, gamma2=1.0)
+    q1, q2, _ = work.prox_args(np.zeros(3), np.zeros(3))
+    rhs = np.array([1.0, -2.0, 3.0])
     # V = 0 (huge weights), U = I (large residuals): W = (1/g2 + mu) I
-    assert np.allclose(W, (1.0 + 1e-5) * np.eye(3))
+    d = work.newton_matrix_solve(q1, q2, rhs, PdsnConfig(newton_mu=1e-5))
+    assert np.allclose(d, rhs / (1.0 + 1e-5))
 
 
 def test_newton_fast_on_smooth_instance():
@@ -119,36 +125,30 @@ def test_newton_fast_on_smooth_instance():
     y = 10.0 + rng.standard_normal(n)
     pr = QuantileProblem(X, y, tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.full(p, 1e-4))
-    state = make_state(spec, gamma1=1.0, gamma2=1.0)
-    state.u = np.zeros(n)
-    cfg = PdsnConfig(newton_mu=1e-12)
-    u, iters = semismooth_newton(spec, state, cfg, tol=1e-9)
-    assert iters <= 3
-    assert np.linalg.norm(dual_residual_map(u, state, spec)) / (1 + np.linalg.norm(y)) <= 1e-9
+    work = make_work(spec, gamma1=1.0, gamma2=1.0)
+    u, info = _newton_solve(work, np.zeros(n), 1e-9, PdsnConfig(newton_mu=1e-12))
+    assert info["iters"] <= 3
+    assert np.linalg.norm(phi(work, u)) / (1 + np.linalg.norm(y)) <= 1e-9
 
 
 def test_newton_residual_and_gap(rng):
     spec, _ = make_subproblem(21, 10, 20, lam=0.15)
-    state = make_state(spec, gamma1=0.05, gamma2=0.05)
-    cfg = PdsnConfig()
-    u, iters = semismooth_newton(spec, state, cfg, tol=1e-10)
-    res = np.linalg.norm(dual_residual_map(u, state, spec))
+    work = make_work(spec, gamma1=0.05, gamma2=0.05)
+    u, _ = _newton_solve(work, np.zeros(10), 1e-10, PdsnConfig())
+    res = np.linalg.norm(phi(work, u))
     res /= 1.0 + np.linalg.norm(spec.problem.response)
     assert res <= 1e-8
     # primal-dual gap of the regularized subproblem at the recovered primal
-    work = _DualWork(spec, state.beta, state.gamma1, state.gamma2)
-    _, _, pb, _, _ = work.gradient(u, spec.problem.design.T @ u)
+    _, _, pb, _, _ = work.gradient(u, work.X.T @ u)
     reg_primal = spec.objective(pb)
-    reg_primal += 0.5 * state.gamma1 * np.sum((pb - state.beta) ** 2)
-    reg_primal += 0.5 * state.gamma2 * np.sum((spec.problem.design @ (pb - state.beta)) ** 2)
-    gap = reg_primal + dual_objective(u, state, spec)
+    reg_primal += 0.5 * work.g1 * np.sum((pb - work.bj) ** 2)
+    reg_primal += 0.5 * work.g2 * np.sum((work.X @ (pb - work.bj)) ** 2)
+    gap = reg_primal + psi(work, u)
     assert abs(gap) <= 1e-7
 
 
 def test_newton_monotone_psi(rng):
     # Psi decreases along the recorded trace on many seeded instances
-    from sqreg.pdsn import _newton_solve
-
     for seed in range(20):
         spec, _ = make_subproblem(100 + seed, 10, 20, lam=0.1)
         work = _DualWork(spec, np.zeros(20), 0.05, 0.05)
@@ -197,14 +197,6 @@ def test_ppa_objective_monotone_trace():
     assert all(tr[i + 1] <= tr[i] + 1e-9 for i in range(len(tr) - 1))
 
 
-def test_warm_start_not_worse():
-    for seed in range(5):
-        spec, _ = make_subproblem(300 + seed, 25, 50, lam=0.12)
-        cold, rc = ppa_solve(spec, PdsnConfig(warm_start_newton=False))
-        warm, rw = ppa_solve(spec, PdsnConfig(warm_start_newton=True))
-        assert rw.objective <= rc.objective + 1e-8
-
-
 def test_kkt_residual_zero_at_constructed_point():
     # diagonal instance with hand-built KKT triple
     n = 4
@@ -215,10 +207,40 @@ def test_kkt_residual_zero_at_constructed_point():
     y = X @ beta + z
     pr = QuantileProblem(X, y, tau=tau)
     u = np.full(n, tau / n)  # z > 0 componentwise
-    spec = SubproblemSpec(problem=pr, weights=np.full(n, tau / n))  # X^T u = omega at beta > 0
-    assert kkt_residual(beta, z, u, spec) <= 1e-14
+    weights = np.full(n, tau / n)  # X^T u = omega at beta > 0
+    assert kkt_residual(pr, beta, z, u, weights) <= 1e-14
     # perturbation moves it away from zero
-    assert kkt_residual(beta + 0.1, z, u, spec) > 1e-3
+    assert kkt_residual(pr, beta + 0.1, z, u, weights) > 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), tau=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1),
+       with_delta=st.booleans())
+def test_kkt_residual_zero_at_random_kkt_triples(n, tau, seed, with_delta):
+    # diagonal design, random signs of z and beta (zeros included), random
+    # weights and shift: u is built in the check-loss subgradient at z and
+    # the weights so that X^T u + delta is a weighted-l1 subgradient at beta
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    X = np.diag(d)
+    z_sign = rng.choice([-1.0, 0.0, 1.0], n)
+    z = z_sign * rng.uniform(0.1, 5.0, n)
+    lo, hi = (tau - 1.0) / n, tau / n
+    u = np.where(z_sign > 0, hi, np.where(z_sign < 0, lo, rng.uniform(lo, hi, n)))
+    delta = rng.uniform(-0.2, 0.2, n) if with_delta else None
+    g = d * u if delta is None else d * u + delta
+    active = rng.random(n) < 0.5
+    beta = np.where(active, np.sign(g) * rng.uniform(0.1, 5.0, n), 0.0)
+    weights = np.abs(g) + np.where(active, 0.0, rng.uniform(0.0, 0.3, n))
+    pr = QuantileProblem(X, X @ beta + z, tau=tau)
+    res = kkt_residual(pr, beta, z, u, weights, delta)
+    assert res <= 1e-12
+    if delta is None:  # both call shapes agree on a zero shift
+        assert kkt_residual(pr, beta, z, u, weights, np.zeros(n)) == res
+    e = np.zeros(n)
+    e[rng.integers(n)] = rng.uniform(0.05, 1.0)
+    assert kkt_residual(pr, beta + e, z, u, weights, delta) > 1e-6
+    assert kkt_residual(pr, beta, z + e, u, weights, delta) > 1e-6
 
 
 def test_cg_branch_matches_dense():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqreg import QuantileProblem, check_loss, load_csv, matrix_norms, nonzero_count, standardize
+from sqreg import QuantileProblem, check_loss, load_csv, matrix_norms, nonzero_count, standardize, support_mask
 
 
 def test_load_csv_basic(tmp_path):
@@ -132,3 +132,5 @@ def test_nonzero_count():
     assert nonzero_count(np.array([0.0, 1e-7, 2.0])) == 1
     assert nonzero_count(np.array([1e-5, 1.0])) == 2
     assert nonzero_count(np.zeros(3)) == 0
+    # the threshold is relative once ||beta||_inf exceeds 1
+    assert support_mask(np.array([2e-6, 3.0, -1e-5])).tolist() == [False, True, True]

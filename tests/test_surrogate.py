@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqreg import SurrogateFamily, PenaltyParams, capped_l1, mcp, scad
+from sqreg import SurrogateFamily, capped_l1, mcp, scad
 
 FAMILIES = [capped_l1(), scad(3.0), scad(3.7), mcp(4.0), mcp(3.7)]
 
@@ -25,8 +25,6 @@ def test_construction_validation():
         SurrogateFamily("mcp", 2.0)
     with pytest.raises(ValueError):
         SurrogateFamily("bridge")
-    with pytest.raises(ValueError):
-        PenaltyParams(nu=1.0, lam=0.0, rho=1.0)
 
 
 def test_phi_values():

@@ -8,6 +8,8 @@ or usage error, 2 non-convergence or solver failure.
 
 import argparse
 import concurrent.futures
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -193,11 +195,31 @@ def cmd_tau_sweep(args):
     return 0
 
 
+def _pin_blas_threads():
+    """Pool-worker initializer: one OpenBLAS thread per worker, so that
+    workers do not oversubscribe the cores and a worker's BLAS sums match
+    those of a single-threaded serial run. A numpy without its bundled
+    scipy-openblas library is left as it is."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+
+
 def _run_pool(fn, payloads, threads):
     workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    # every pool job samples a dataset; load the samplers' scipy.special
+    # here, once, so that the forked workers inherit it instead of each
+    # importing it again
+    import scipy.special  # noqa: F401
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                initializer=_pin_blas_threads) as pool:
         return list(pool.map(fn, payloads))
 
 

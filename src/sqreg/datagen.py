@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.special import ndtr, ndtri, stdtrit
 
 from .problem import QuantileProblem, support_mask
 
@@ -34,6 +33,8 @@ def _uniforms(gen, size):
 
 
 def _normals(gen, size):
+    from scipy.special import ndtri  # deferred: `sqreg fit` never samples
+
     return ndtri(_uniforms(gen, size))
 
 
@@ -125,6 +126,8 @@ def _draw_noise(gen, kind, count, var):
         u = _uniforms(gen, count)
         return np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
     if kind == "t4":
+        from scipy.special import stdtrit
+
         return math.sqrt(2.0) * stdtrit(4, _uniforms(gen, count))
     if kind == "cauchy":
         return np.tan(np.pi * (_uniforms(gen, count) - 0.5))
@@ -208,6 +211,8 @@ def generate(spec):
     beta = _beta_pattern(gen, spec.beta_pattern, spec.p)
     X = _covariate_rows(gen, spec.n, spec.p, spec.covariance)
     if spec.beta_pattern == "hetero":
+        from scipy.special import ndtr
+
         X[:, HETERO_SCALE_INDEX] = ndtr(X[:, HETERO_SCALE_INDEX])
         eps = _normals(gen, spec.n)
         y = X @ beta + HETERO_SCALE_COEF * X[:, HETERO_SCALE_INDEX] * eps

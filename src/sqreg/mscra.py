@@ -9,7 +9,6 @@ when the nonzero count and the residual stabilize.
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.optimize import minimize
 
 from .admm import admm_solve
 from .pdsn import PdsnConfig, SolverError, SubproblemSpec, ppa_solve
@@ -133,6 +132,8 @@ def subproblem_inexactness(beta, w_prev, problem, lam, weights=None, kink_tol=1e
     least-squares min over V of the componentwise projection onto B.
     Residuals within kink_tol (scaled by the response) count as at the kink.
     """
+    from scipy.optimize import minimize
+
     X, y, tau, n = problem.design, problem.response, problem.tau, problem.n
     beta = np.asarray(beta, dtype=float)
     omega = np.asarray(weights, float) if weights is not None else lam * (1.0 - np.asarray(w_prev, float))

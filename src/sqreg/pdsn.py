@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .problem import check_loss
 from .prox import (
@@ -120,7 +119,7 @@ def kkt_residual(problem, beta, z, u, weights, delta=None):
 class _DualWork:
     """Dual pieces of one PPA step: anchors (beta^j, z^j) and gammas fixed."""
 
-    def __init__(self, spec, beta_anchor, gamma1, gamma2, gram=None):
+    def __init__(self, spec, beta_anchor, gamma1, gamma2):
         pr = spec.problem
         self.X = pr.design
         self.y = pr.response
@@ -133,10 +132,16 @@ class _DualWork:
         self.g1 = float(gamma1)
         self.g2 = float(gamma2)
         self.const = float(spec.delta @ (self.bj - spec.anchor))
-        self.gram = gram  # optional cached X X^T for the Newton assembly
         self.hi2 = self.tau / (self.n * self.g2)
         self.lo2 = (self.tau - 1.0) / (self.n * self.g2)
         self.thr1 = self.omega / self.g1
+        self.neg_thr1 = -self.thr1
+        # x - 0.0 == x bit for bit, so an all-(+0.0) shift is skipped
+        self.zero_delta = not (np.any(self.delta) or np.any(np.signbit(self.delta)))
+        # reused buffers of the dual value (see _value_images)
+        self._q2, self._cz, self._pz = (np.empty(self.n) for _ in range(3))
+        self._le = np.empty(self.n, dtype=bool)
+        self._xd, self._q1, self._cb, self._pb = (np.empty(self.p) for _ in range(4))
 
     def prox_args(self, u, Xtu):
         """(q1, q2, X^T u - delta) with q1 = beta^j - (X^T u - delta)/g1 and
@@ -146,15 +151,24 @@ class _DualWork:
 
     def _value_images(self, u, Xtu):
         """Psi(u) with the prox images pz, pb, from the box-projection
-        identities pz = q2 - clip(q2, lo, hi) and pb = q1 - clip(q1, -thr, thr)."""
+        identities pz = q2 - clip(q2, lo, hi) and pb = q1 - clip(q1, -thr, thr).
+
+        pz and pb are buffers of this object, overwritten by the next call.
+        The clips are maximum-then-minimum, the order np.clip applies them.
+        """
         g1, g2 = self.g1, self.g2
-        q1, q2, xd = self.prox_args(u, Xtu)
-        cz = np.clip(q2, self.lo2, self.hi2)
-        pz = q2 - cz
-        cb = np.clip(q1, -self.thr1, self.thr1)
-        pb = q1 - cb
-        env_f = float((self.tau - (pz <= 0)) @ pz) / self.n + 0.5 * g2 * float(cz @ cz)
-        env_h = float(self.omega @ np.abs(pb)) + 0.5 * g1 * float(cb @ cb)
+        q2, cz, pz, q1, cb, pb = self._q2, self._cz, self._pz, self._q1, self._cb, self._pb
+        xd = Xtu if self.zero_delta else np.subtract(Xtu, self.delta, out=self._xd)
+        np.subtract(self.bj, np.divide(xd, g1, out=q1), out=q1)
+        np.subtract(self.zj, np.divide(u, g2, out=q2), out=q2)
+        np.minimum(np.maximum(q2, self.lo2, out=cz), self.hi2, out=cz)
+        np.subtract(q2, cz, out=pz)
+        np.minimum(np.maximum(q1, self.neg_thr1, out=cb), self.thr1, out=cb)
+        np.subtract(q1, cb, out=pb)
+        # q2 and q1 are free again: they hold tau - (pz <= 0) and |pb|
+        wz = np.subtract(self.tau, np.less_equal(pz, 0, out=self._le), out=q2)
+        env_f = float(wz @ pz) / self.n + 0.5 * g2 * float(cz @ cz)
+        env_h = float(self.omega @ np.abs(pb, out=q1)) + 0.5 * g1 * float(cb @ cb)
         quad = 0.5 * float(u @ u) / g2 + 0.5 * float(xd @ xd) / g1
         return quad - env_f - env_h + self.const, pz, pb
 
@@ -165,8 +179,25 @@ class _DualWork:
     def value_dir_deriv(self, u, Xtu, d, Xtd):
         """(Psi(u), <grad Psi(u), d>) without forming the full gradient."""
         psi, pz, pb = self._value_images(u, Xtu)
-        # <Phi(u), d> = <y - pz, d> - <pb, X^T d>
-        return psi, float((self.y - pz) @ d - pb @ Xtd)
+        # <Phi(u), d> = <y - pz, d> - <pb, X^T d>, y - pz in the free q2 buffer
+        ypz = np.subtract(self.y, pz, out=self._q2)
+        return psi, float(ypz @ d - pb @ Xtd)
+
+    def along(self, u, Xtu, d, Xtd):
+        """The line-search evaluator a -> (Psi(u + a d), <grad Psi(u + a d), d>).
+
+        Bit-identical to value_dir_deriv(u + a*d, Xtu + a*Xtd, d, Xtd), with
+        the trial point formed in buffers of this evaluator.
+        """
+        ua = np.empty_like(u)
+        Xtua = np.empty_like(Xtu)
+
+        def ev(a):
+            np.add(u, np.multiply(d, a, out=ua), out=ua)
+            np.add(Xtu, np.multiply(Xtd, a, out=Xtua), out=Xtua)
+            return self.value_dir_deriv(ua, Xtua, d, Xtd)
+
+        return ev
 
     def gradient(self, u, Xtu):
         """Phi(u) = y - P f_tau(z^j - u/g2) - X P h(beta^j - (X^T u - delta)/g1),
@@ -177,12 +208,17 @@ class _DualWork:
         phi = self.y - pz - self.X @ pb
         return phi, pz, pb, q1, q2
 
-    def active_gram(self, mask):
-        """X_J X_J^T over the active columns, from the cheaper side."""
+    def active_gram(self, mask, cache):
+        """X_J X_J^T over the active columns, from the cheaper side; the full
+        Gram X X^T that the complement side needs is built on first use and
+        kept in ``cache``."""
         n_active = int(mask.sum())
-        if self.gram is not None and self.p - n_active < n_active:
+        if self.p - n_active < n_active:
+            if "gram" not in cache:
+                cache["gram"] = self.X @ self.X.T
+            gram = cache["gram"]
             Xc = self.X[:, ~mask]
-            return self.gram - Xc @ Xc.T if Xc.shape[1] else self.gram.copy()
+            return gram - Xc @ Xc.T if Xc.shape[1] else gram.copy()
         if n_active:
             Xa = self.X[:, mask]
             return Xa @ Xa.T
@@ -194,13 +230,16 @@ class _DualWork:
         U, V are 0/1 diagonal Clarke elements at the current prox arguments
         and mu = cfg.newton_mu. The unscaled active Gram X_J X_J^T is kept in
         ``cache`` across calls and rank-updated when the active set changes
-        by a few columns.
+        by a few columns; the scaled matrix W is assembled in a buffer kept
+        there too.
         """
         udiag = clarke_jacobian_check_loss_prox(q2, self.g2, self.tau, self.n)
         vdiag = clarke_jacobian_weighted_l1_prox(q1, self.omega, self.g1)
         dvec = udiag / self.g2 + cfg.newton_mu
         mask = vdiag > 0.0
         if self.n > cfg.dense_solve_max_n:
+            from scipy.sparse.linalg import LinearOperator, cg  # deferred: a slow import
+
             Xa = self.X[:, mask]
 
             def matvec(v):
@@ -213,8 +252,9 @@ class _DualWork:
             if info != 0:
                 raise SolverError("conjugate gradient failed on the Newton system")
             return sol
-        if cache is None or cache.get("mask") is None:
-            W0 = self.active_gram(mask)
+        cache = {} if cache is None else cache
+        if cache.get("mask") is None:
+            W0 = self.active_gram(mask, cache)
         else:
             W0 = cache["W0"]
             changed = mask ^ cache["mask"]
@@ -223,7 +263,7 @@ class _DualWork:
                 # refresh periodically to limit rank-update rounding drift
                 cache["updates"] = cache.get("updates", 0) + n_changed
                 if n_changed > max(16, self.n // 4) or cache["updates"] > 8 * self.n:
-                    W0 = self.active_gram(mask)
+                    W0 = self.active_gram(mask, cache)
                     cache["updates"] = 0
                 else:
                     added = changed & mask
@@ -234,10 +274,11 @@ class _DualWork:
                     if removed.any():
                         Xr = self.X[:, removed]
                         W0 -= Xr @ Xr.T
-        if cache is not None:
-            cache["mask"] = mask
-            cache["W0"] = W0
-        W = W0 / self.g1
+        cache["mask"] = mask
+        cache["W0"] = W0
+        if "W" not in cache:
+            cache["W"] = np.empty_like(W0)
+        W = np.divide(W0, self.g1, out=cache["W"])
         W[np.diag_indices_from(W)] += dvec
         return np.linalg.solve(W, rhs)
 
@@ -250,8 +291,10 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
     ends; bisection is the fallback. Returns (alpha, psi, evals, ok).
     """
 
+    along = work.along(u, Xtu, d, Xtd)
+
     def ev(a):
-        psi_a, dpsi_a = work.value_dir_deriv(u + a * d, Xtu + a * Xtd, d, Xtd)
+        psi_a, dpsi_a = along(a)
         if not np.isfinite(psi_a):
             raise FloatingPointError("non-finite dual value in line search")
         return psi_a, dpsi_a
@@ -378,13 +421,12 @@ def ppa_solve(spec, cfg=None, u0=None):
     converged = err <= min(eps, cfg.eps_ppa_floor)
     ppa_iters = 0
     last_phi_rel = float("nan")
-    gram = X @ X.T if (not converged and pr.n <= cfg.dense_solve_max_n) else None
-    cache = {}
+    cache = {}  # Newton-matrix state shared by the PPA steps
     cur_obj = spec.objective(beta)
     trace = [cur_obj]
     stalls = 0
     while not converged and ppa_iters < cfg.max_ppa_iters:
-        work = _DualWork(spec, beta, gamma, gamma, gram=gram)
+        work = _DualWork(spec, beta, gamma, gamma)
         u_psi, info = _newton_solve(work, u_psi, NEWTON_TOL_FACTOR * eps, cfg, cache)
         total_newton += info["iters"]
         last_phi_rel = info["phi_rel"]

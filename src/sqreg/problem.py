@@ -156,17 +156,9 @@ def standardize(problem):
     return QuantileProblem(X, problem.response, problem.tau, problem.intercept_column)
 
 
-def load_csv(path, has_header=False, add_intercept=False):
-    """Load a problem from CSV: one sample per row, response in the last column.
-
-    Returns a QuantileProblem with tau = 0.5 (retarget with ``with_tau``).
-    Malformed rows raise ValueError naming the 1-based data row.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        raw_rows = [r for r in csv.reader(fh) if r and not all(f.strip() == "" for f in r)]
-    if has_header and raw_rows:
-        raw_rows = raw_rows[1:]
-    rows = []
+def _raise_first_bad_row(raw_rows):
+    """Raise the ValueError naming the first (1-based) row that does not
+    parse, has the wrong field count or holds a non-finite value."""
     width = None
     for idx, raw in enumerate(raw_rows, start=1):
         try:
@@ -181,10 +173,32 @@ def load_csv(path, has_header=False, add_intercept=False):
             raise ValueError(f"row {idx}: expected {width} fields, got {len(vals)}")
         if not all(np.isfinite(v) for v in vals):
             raise ValueError(f"row {idx}: non-finite value")
-        rows.append(vals)
-    if not rows:
+
+
+def load_csv(path, has_header=False, add_intercept=False):
+    """Load a problem from CSV: one sample per row, response in the last column.
+
+    Returns a QuantileProblem with tau = 0.5 (retarget with ``with_tau``).
+    Malformed rows raise ValueError naming the 1-based data row.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        raw_rows = [r for r in csv.reader(fh) if r and not all(f.strip() == "" for f in r)]
+    if has_header and raw_rows:
+        raw_rows = raw_rows[1:]
+    if not raw_rows:
         raise ValueError("no rows")
-    data = np.asarray(rows, dtype=float)
+    # one conversion call (numpy parses each str field with float()); the
+    # row-wise scan runs only to name the first malformed row
+    try:
+        data = np.array(raw_rows, dtype=float)
+    except ValueError:
+        _raise_first_bad_row(raw_rows)
+        raise
+    if data.shape[1] < 2:
+        raise ValueError("rows must have at least one feature and a response")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite)) + 1}: non-finite value")
     X, y = data[:, :-1], data[:, -1]
     if add_intercept:
         X = np.hstack([np.ones((X.shape[0], 1)), X])

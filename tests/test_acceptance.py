@@ -144,6 +144,7 @@ def solver_panel():
     return runs
 
 
+@pytest.mark.slow
 def test_c3_solver_cross_equivalence(solver_panel):
     worst = 0.0
     for r in solver_panel:
@@ -155,6 +156,7 @@ def test_c3_solver_cross_equivalence(solver_panel):
     announce(3, f"cross-solver agreement, worst rel {worst:.1e}")
 
 
+@pytest.mark.slow
 def test_c4_speed_ratio(solver_panel):
     tp = sum(r["pdsn_s"] for r in solver_panel)
     ta = sum(r["admm_s"] for r in solver_panel)
@@ -210,6 +212,7 @@ def test_c6_mm_monotonicity():
 
 # ---------------------------------------------------------------- criterion 7
 
+@pytest.mark.slow
 def test_c7_heteroscedastic_identification():
     """Reduced-scale Table-1 run (20 replications, n=400, p=300): the scale
     covariate X1 is never selected at tau=0.5 and selected in >=60% of

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sqreg
 from sqreg.cli import main
 
 
@@ -150,6 +154,34 @@ def test_bench_process_pool_matches_serial(tmp_path):
     run(args + ["--threads", "1", "--out", str(out1)])
     run(args + ["--threads", "2", "--out", str(out2)])
     assert mask_wall(out1.read_text()) == mask_wall(out2.read_text())
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _tau_sweep_subprocess(extra_args, blas_threads):
+    """tau-sweep in a fresh interpreter; blas_threads None keeps the
+    library's default thread count. Returns the output without wall_ms."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(sqreg.__file__)), env.get("PYTHONPATH", "")])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    args = ["tau-sweep", "--n", "200", "--tau-min", "0.3", "--tau-max", "0.7",
+            "--tau-step", "0.2", "--reps", "2", "--seed", "2", *extra_args]
+    proc = subprocess.run([sys.executable, "-m", "sqreg.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return [line.rsplit(",", 1)[0] for line in proc.stdout.splitlines()]
+
+
+def test_pool_workers_pin_blas_threads():
+    # pool workers under the default BLAS threading must print what a serial
+    # single-threaded run prints; unpinned 2-thread workers on two cores
+    # changed the last digits of this seed's tau 0.7 row
+    pooled = _tau_sweep_subprocess(["--threads", "2"], blas_threads=None)
+    serial = _tau_sweep_subprocess(["--threads", "1"], blas_threads=1)
+    assert pooled[0] == "tau,l2_error" and len(pooled) == 4
+    assert pooled == serial
 
 
 def test_fit_with_intercept_and_standardize(tmp_path):

@@ -89,6 +89,50 @@ def test_dual_objective_convex(rng):
         assert mid <= 0.5 * psi(work, u1) + 0.5 * psi(work, u2) + 1e-10
 
 
+def _value_dir_deriv_fresh(work, u, Xtu, d, Xtd):
+    """(Psi(u), <grad Psi(u), d>) in fresh arrays through np.clip, the form
+    the buffered evaluator replaced."""
+    g1, g2 = work.g1, work.g2
+    xd = Xtu - work.delta
+    q1, q2 = work.bj - xd / g1, work.zj - u / g2
+    cz = np.clip(q2, work.lo2, work.hi2)
+    pz = q2 - cz
+    cb = np.clip(q1, -work.thr1, work.thr1)
+    pb = q1 - cb
+    env_f = float((work.tau - (pz <= 0)) @ pz) / work.n + 0.5 * g2 * float(cz @ cz)
+    env_h = float(work.omega @ np.abs(pb)) + 0.5 * g1 * float(cb @ cb)
+    quad = 0.5 * float(u @ u) / g2 + 0.5 * float(xd @ xd) / g1
+    return quad - env_f - env_h + work.const, float((work.y - pz) @ d - pb @ Xtd)
+
+
+@pytest.mark.parametrize("with_delta", [False, True])
+def test_line_evaluator_bit_identical(rng, with_delta):
+    n, p = 30, 60
+    X = rng.standard_normal((n, p))
+    X[:, 3] = 0.0  # with omega_3 = 0 and anchor -0.0: q1_3 = -0.0 meets a zero clip bound
+    y = X[:, :4] @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 * rng.standard_normal(n)
+    weights = np.full(p, 0.05)
+    weights[[0, 3]] = 0.0
+    delta = 0.01 * rng.standard_normal(p) if with_delta else None
+    spec = SubproblemSpec(problem=QuantileProblem(X, y, tau=0.3), weights=weights, delta=delta,
+                          anchor=0.1 * rng.standard_normal(p))
+    beta = 0.2 * rng.standard_normal(p)
+    beta[3] = -0.0
+    work = make_work(spec, beta, gamma1=0.07, gamma2=0.04)
+    u, d = 0.05 * rng.standard_normal(n), rng.standard_normal(n)
+    Xtu, Xtd = X.T @ u, X.T @ d
+    hexes = lambda pair: tuple(float(v).hex() for v in pair)
+    assert hexes(work.value_dir_deriv(u, Xtu, d, Xtd)) == hexes(_value_dir_deriv_fresh(work, u, Xtu, d, Xtd))
+    ev = work.along(u, Xtu, d, Xtd)
+    # a1, a2, a1: a repeat must not see state left by the call before it
+    for a in (0.37, 2.5, 0.37, 1.0, 1e-3):
+        ua, Xtua = u + a * d, Xtu + a * Xtd
+        want = hexes(_value_dir_deriv_fresh(work, ua, Xtua, d, Xtd))
+        assert hexes(ev(a)) == want
+        assert hexes(work.value_dir_deriv(ua, Xtua, d, Xtd)) == want
+        assert float(work.value(ua, Xtua)).hex() == want[0]
+
+
 def test_newton_matrix_structure(rng):
     spec, _ = make_subproblem(3, 8, 15, lam=0.12)
     work = make_work(spec)

@@ -1,5 +1,11 @@
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqreg import QuantileProblem, check_loss, load_csv, matrix_norms, nonzero_count, standardize, support_mask
 
@@ -37,6 +43,106 @@ def test_load_csv_ragged_and_header(tmp_path):
     pr = load_csv(f2, has_header=True, add_intercept=True)
     assert pr.intercept_column and pr.p == 3
     assert np.array_equal(pr.design[:, 0], [1.0])
+
+
+def _load_csv_rowwise(path, has_header=False, add_intercept=False):
+    """The row-by-row parser load_csv replaced, kept as its oracle."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        raw_rows = [r for r in csv.reader(fh) if r and not all(f.strip() == "" for f in r)]
+    if has_header and raw_rows:
+        raw_rows = raw_rows[1:]
+    rows = []
+    width = None
+    for idx, raw in enumerate(raw_rows, start=1):
+        try:
+            vals = [float(f) for f in raw]
+        except ValueError:
+            raise ValueError(f"row {idx}: could not parse numeric fields") from None
+        if width is None:
+            width = len(vals)
+            if width < 2:
+                raise ValueError("rows must have at least one feature and a response")
+        elif len(vals) != width:
+            raise ValueError(f"row {idx}: expected {width} fields, got {len(vals)}")
+        if not all(np.isfinite(v) for v in vals):
+            raise ValueError(f"row {idx}: non-finite value")
+        rows.append(vals)
+    if not rows:
+        raise ValueError("no rows")
+    data = np.asarray(rows, dtype=float)
+    X, y = data[:, :-1], data[:, -1]
+    if add_intercept:
+        X = np.hstack([np.ones((X.shape[0], 1)), X])
+    return QuantileProblem(X, y, tau=0.5, intercept_column=add_intercept)
+
+
+def _outcome(loader, path, **kw):
+    try:
+        pr = loader(path, **kw)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", pr.design.shape, pr.design.tobytes(), pr.response.tobytes(), pr.intercept_column)
+
+
+_FIELD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_0", "\uff11", " 1.5 ", "-0", "+.5", "1e400", "-1e400", "nan", "-inf",
+                     "Infinity", "1e", "0x10", "abc", "", " ", "1,5", "1__0", "\t2\n"]),
+)
+
+
+def _row(fields, quoted):
+    # csv quoting: double any quote, wrap the field in quotes
+    return ",".join('"' + f.replace('"', '""') + '"' if q else f for f, q in zip(fields, quoted))
+
+
+@st.composite
+def _csv_text(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "ragged", "blank", "spaces"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " , ", ",,"])))
+        else:
+            w = width if kind == "row" else draw(st.integers(1, 5))
+            fields = draw(st.lists(_FIELD, min_size=w, max_size=w))
+            quoted = draw(st.lists(st.booleans(), min_size=w, max_size=w))
+            lines.append(_row(fields, quoted))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_text(), has_header=st.booleans(), add_intercept=st.booleans())
+def test_load_csv_matches_rowwise_parser(text, has_header, add_intercept):
+    # byte-equal arrays and the same error text as the row-by-row parser,
+    # over ragged, non-numeric, non-finite, blank, quoted and header rows
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        kw = {"has_header": has_header, "add_intercept": add_intercept}
+        assert _outcome(load_csv, path, **kw) == _outcome(_load_csv_rowwise, path, **kw)
+
+
+def test_load_csv_first_fault_named(tmp_path):
+    # several faults: each message names the first faulty row, as before
+    cases = {
+        "1,2,3\n4,x,6\n7,8\n": "row 2: could not parse numeric fields",
+        "1,2,3\n4,5\n7,nan,9\n": "row 2: expected 3 fields, got 2",
+        "1,2,3\n4,inf,6\n7,8\n": "row 2: non-finite value",
+        "1,2,3\n\n  \n4,5,6\n7,1e400,9\n": "row 3: non-finite value",
+        "5\n1,2\n": "rows must have at least one feature and a response",
+    }
+    for text, message in cases.items():
+        f = tmp_path / "m.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_csv(f)
+        assert str(exc.value) == message
 
 
 def test_problem_validation():

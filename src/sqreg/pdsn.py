@@ -138,26 +138,24 @@ class _DualWork:
         self.neg_thr1 = -self.thr1
         # x - 0.0 == x bit for bit, so an all-(+0.0) shift is skipped
         self.zero_delta = not (np.any(self.delta) or np.any(np.signbit(self.delta)))
-        # reused buffers of the dual value (see _value_images)
-        self._q2, self._cz, self._pz = (np.empty(self.n) for _ in range(3))
+        # the prox arguments and images at the last evaluated point (see
+        # value), and scratch buffers
+        self.q1, self.pb, self._xd, self._cb = (np.empty(self.p) for _ in range(4))
+        self.q2, self.pz, self._cz = (np.empty(self.n) for _ in range(3))
         self._le = np.empty(self.n, dtype=bool)
-        self._xd, self._q1, self._cb, self._pb = (np.empty(self.p) for _ in range(4))
 
-    def prox_args(self, u, Xtu):
-        """(q1, q2, X^T u - delta) with q1 = beta^j - (X^T u - delta)/g1 and
-        q2 = z^j - u/g2, the arguments of the two proxes."""
-        xd = Xtu - self.delta
-        return self.bj - xd / self.g1, self.zj - u / self.g2, xd
+    def value(self, u, Xtu):
+        """Psi(u), leaving the prox arguments q1 = beta^j - (X^T u - delta)/g1,
+        q2 = z^j - u/g2 and the images pz = q2 - clip(q2, lo, hi),
+        pb = q1 - clip(q1, -thr, thr) (box-projection identities) in the
+        buffers ``self.q1``, ``self.q2``, ``self.pz``, ``self.pb``, which the
+        next call overwrites.
 
-    def _value_images(self, u, Xtu):
-        """Psi(u) with the prox images pz, pb, from the box-projection
-        identities pz = q2 - clip(q2, lo, hi) and pb = q1 - clip(q1, -thr, thr).
-
-        pz and pb are buffers of this object, overwritten by the next call.
         The clips are maximum-then-minimum, the order np.clip applies them.
+        The dual minimum equals minus the regularized primal minimum.
         """
         g1, g2 = self.g1, self.g2
-        q2, cz, pz, q1, cb, pb = self._q2, self._cz, self._pz, self._q1, self._cb, self._pb
+        q2, cz, pz, q1, cb, pb = self.q2, self._cz, self.pz, self.q1, self._cb, self.pb
         xd = Xtu if self.zero_delta else np.subtract(Xtu, self.delta, out=self._xd)
         np.subtract(self.bj, np.divide(xd, g1, out=q1), out=q1)
         np.subtract(self.zj, np.divide(u, g2, out=q2), out=q2)
@@ -165,23 +163,23 @@ class _DualWork:
         np.subtract(q2, cz, out=pz)
         np.minimum(np.maximum(q1, self.neg_thr1, out=cb), self.thr1, out=cb)
         np.subtract(q1, cb, out=pb)
-        # q2 and q1 are free again: they hold tau - (pz <= 0) and |pb|
-        wz = np.subtract(self.tau, np.less_equal(pz, 0, out=self._le), out=q2)
-        env_f = float(wz @ pz) / self.n + 0.5 * g2 * float(cz @ cz)
-        env_h = float(self.omega @ np.abs(pb, out=q1)) + 0.5 * g1 * float(cb @ cb)
+        cz2, cb2 = float(cz @ cz), float(cb @ cb)
+        # cz and cb are free again: they hold tau - (pz <= 0) and |pb|
+        wz = np.subtract(self.tau, np.less_equal(pz, 0, out=self._le), out=cz)
+        env_f = float(wz @ pz) / self.n + 0.5 * g2 * cz2
+        env_h = float(self.omega @ np.abs(pb, out=cb)) + 0.5 * g1 * cb2
         quad = 0.5 * float(u @ u) / g2 + 0.5 * float(xd @ xd) / g1
-        return quad - env_f - env_h + self.const, pz, pb
+        return quad - env_f - env_h + self.const
 
-    def value(self, u, Xtu):
-        """Psi(u); the dual minimum equals minus the regularized primal minimum."""
-        return self._value_images(u, Xtu)[0]
+    def dir_deriv(self, d, Xtd):
+        """<grad Psi, d> at the last evaluated point:
+        <Phi, d> = <y - pz, d> - <pb, X^T d>."""
+        ypz = np.subtract(self.y, self.pz, out=self._cz)
+        return float(ypz @ d - self.pb @ Xtd)
 
     def value_dir_deriv(self, u, Xtu, d, Xtd):
         """(Psi(u), <grad Psi(u), d>) without forming the full gradient."""
-        psi, pz, pb = self._value_images(u, Xtu)
-        # <Phi(u), d> = <y - pz, d> - <pb, X^T d>, y - pz in the free q2 buffer
-        ypz = np.subtract(self.y, pz, out=self._q2)
-        return psi, float(ypz @ d - pb @ Xtd)
+        return self.value(u, Xtu), self.dir_deriv(d, Xtd)
 
     def along(self, u, Xtu, d, Xtd):
         """The line-search evaluator a -> (Psi(u + a d), <grad Psi(u + a d), d>).
@@ -199,14 +197,18 @@ class _DualWork:
 
         return ev
 
+    def gradient_here(self):
+        """(Phi, beta image) at the last evaluated point, in new arrays:
+        Phi = y - P f_tau(q2) - X P h(q1) with the beta image
+        P h(q1) = sign(q1) max(|q1| - thr, 0). That is sign(q1) |pb|, bit for
+        bit prox_weighted_l1(q1) (pb alone can differ in the sign of zeros)."""
+        pb = np.sign(self.q1) * np.abs(self.pb)
+        return self.y - self.pz - self.X @ pb, pb
+
     def gradient(self, u, Xtu):
-        """Phi(u) = y - P f_tau(z^j - u/g2) - X P h(beta^j - (X^T u - delta)/g1),
-        plus the prox images used to assemble it."""
-        q1, q2, _ = self.prox_args(u, Xtu)
-        pz = prox_check_loss(q2, self.g2, self.tau, self.n)
-        pb = prox_weighted_l1(q1, self.omega, self.g1)
-        phi = self.y - pz - self.X @ pb
-        return phi, pz, pb, q1, q2
+        """(Phi(u), beta image at u); see gradient_here."""
+        self.value(u, Xtu)
+        return self.gradient_here()
 
     def active_gram(self, mask, cache):
         """X_J X_J^T over the active columns, from the cheaper side; the full
@@ -279,7 +281,7 @@ class _DualWork:
         if "W" not in cache:
             cache["W"] = np.empty_like(W0)
         W = np.divide(W0, self.g1, out=cache["W"])
-        W[np.diag_indices_from(W)] += dvec
+        W.flat[:: self.n + 1] += dvec
         return np.linalg.solve(W, rhs)
 
 
@@ -288,7 +290,10 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
 
     The zoom trial point is the secant root of the directional derivative
     (piecewise linear here, so usually exact), clipped away from the bracket
-    ends; bisection is the fallback. Returns (alpha, psi, evals, ok).
+    ends; bisection is the fallback. Returns (alpha, psi, evals, ok). When ok,
+    alpha is the last point evaluated, so ``work`` still holds its prox
+    arguments and images; the best-bisection fallback (not ok) may return an
+    earlier one.
     """
 
     along = work.along(u, Xtu, d, Xtd)
@@ -357,33 +362,38 @@ def _newton_solve(work, u0, tol, cfg, cache=None):
     ynorm1 = 1.0 + np.linalg.norm(work.y)
     warn = []
     psi_trace = []
-    phi, pz, pb, q1, q2 = work.gradient(u, Xtu)
+    psi = work.value(u, Xtu)
+    phi, pb = work.gradient_here()
     iters = 0
     cache = {} if cache is None else cache
     for iters in range(cfg.max_newton_iters):
         res = np.linalg.norm(phi) / ynorm1
         if res <= tol:
             break
-        d = work.newton_matrix_solve(q1, q2, -phi, cfg, cache)
+        # work holds the prox arguments and images at u
+        d = work.newton_matrix_solve(work.q1, work.q2, -phi, cfg, cache)
         Xtd = work.X.T @ d
-        psi0, dpsi0 = work.value_dir_deriv(u, Xtu, d, Xtd)
-        psi_trace.append(psi0)
+        dpsi0 = work.dir_deriv(d, Xtd)
+        psi_trace.append(psi)
         if dpsi0 >= 0.0:  # numerically flat; nothing left to gain
             break
-        alpha, _, _, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0)
+        alpha, psi_a, _, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi, dpsi0)
         if not ok and alpha == 0.0:
             warn.append("line search made no progress")
             break
-        if not ok:
-            warn.append("line search returned best bisection point")
         u = u + alpha * d
         Xtu = Xtu + alpha * Xtd
-        phi, pz, pb, q1, q2 = work.gradient(u, Xtu)
+        if ok:  # the search evaluated u last: work holds its images
+            psi = psi_a
+        else:
+            warn.append("line search returned best bisection point")
+            psi = work.value(u, Xtu)
+        phi, pb = work.gradient_here()
     else:
         iters = cfg.max_newton_iters
         warn.append("newton iteration cap reached")
     res = np.linalg.norm(phi) / ynorm1
-    psi_trace.append(work.value(u, Xtu))
+    psi_trace.append(psi)
     return u, {
         "iters": iters,
         "phi_rel": float(res),

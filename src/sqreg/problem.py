@@ -1,6 +1,7 @@
 """Estimation instances, check loss, matrix norms, standardization, CSV input."""
 
 import csv
+from functools import cached_property
 
 import numpy as np
 from dataclasses import dataclass, replace
@@ -66,20 +67,30 @@ class QuantileProblem:
         return self.response - self.design @ beta
 
 
-@dataclass(frozen=True)
 class MatrixNorms:
-    """Spectral norm, element-wise max norm and maximum column sum norm."""
+    """Element-wise max norm ``max_abs``, maximum column sum norm ``col_sum``
+    and spectral norm ``spectral`` of a matrix (see ``matrix_norms``).
 
-    spectral: float
-    max_abs: float
-    col_sum: float
+    The spectral norm runs power iteration, so it is computed on first access
+    only; the matrix must not change before then.
+    """
 
-    def __post_init__(self):
-        if min(self.spectral, self.max_abs, self.col_sum) < 0:
+    def __init__(self, A, rel_tol, max_iters):
+        aabs = np.abs(A)
+        self.col_sum = float(np.max(aabs.sum(axis=0)))
+        self.max_abs = float(np.max(aabs))
+        if min(self.max_abs, self.col_sum) < 0:
             raise ValueError("matrix norms must be nonnegative")
-        # spectral >= max_abs for every matrix (|e_i^T A e_j| <= sigma_max)
-        if self.spectral < self.max_abs * (1.0 - 1e-9):
+        self._power_args = (A, rel_tol, max_iters)
+
+    @cached_property
+    def spectral(self):
+        spectral = max(_spectral_norm(*self._power_args), self.max_abs)
+        # nonnegative as max_abs is; and spectral >= max_abs for every
+        # matrix (|e_i^T A e_j| <= sigma_max)
+        if spectral < self.max_abs * (1.0 - 1e-9):
             raise ValueError("spectral norm below element-wise max norm")
+        return spectral
 
 
 def check_loss(z, tau):
@@ -119,21 +130,17 @@ def _spectral_norm(A, rel_tol=1e-8, max_iters=500):
 
 
 def matrix_norms(design, rel_tol=1e-8, max_iters=500):
-    """Compute MatrixNorms of a design matrix.
+    """MatrixNorms of a design matrix.
 
     The spectral norm uses power iteration on the Gram matrix (relative
-    tolerance ``rel_tol``, at most ``max_iters`` sweeps).
+    tolerance ``rel_tol``, at most ``max_iters`` sweeps) when first read.
     """
     A = np.asarray(design, dtype=float)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    aabs = np.abs(A)
-    col_sum = float(np.max(aabs.sum(axis=0)))
-    max_abs = float(np.max(aabs))
-    spectral = max(_spectral_norm(A, rel_tol, max_iters), max_abs)
-    return MatrixNorms(spectral=spectral, max_abs=max_abs, col_sum=col_sum)
+    return MatrixNorms(A, rel_tol, max_iters)
 
 
 def standardize(problem):

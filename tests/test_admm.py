@@ -149,3 +149,125 @@ def test_zeta_zero_at_fixed_point():
     state, report = admm_solve(spec, AdmmConfig(j_max=50000, eps_admm=1e-9))
     assert report.converged
     assert max(state.eps_pinf, state.eps_dinf) <= 1e-9
+
+
+def _admm_solve_reference(spec, cfg, z0=None, u0=None):
+    """The admm_solve loop that computed the duality gap on every iteration,
+    kept as the oracle of the loop that computes it only when it can stop
+    the loop, at the cap and for the trace."""
+    from sqreg.admm import (ADAPT_EVERY, ADAPT_FACTOR, ADAPT_HIGH, ADAPT_LOW, STEP,
+                            AdmmState, _box_multiplier, _split_objective)
+    from sqreg.report import SolverReport
+
+    pr = spec.problem
+    X, y = pr.design, pr.response
+    n = pr.n
+    xtx_norm = matrix_norms(X).spectral ** 2
+    sigma = cfg.sigma0
+    gamma = sigma * xtx_norm
+    beta = np.asarray(spec.anchor, dtype=float).copy()
+    z = (y - X @ beta) if z0 is None else np.asarray(z0, dtype=float).copy()
+    u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
+    ynorm1 = 1.0 + np.linalg.norm(y)
+    eps_pinf = eps_dinf = eps_gap = np.inf
+    converged = False
+    trace = []
+    j = 0
+    Xb = X @ beta
+    dinf_scale = (1.0 / STEP - 1.0) ** 2
+    avg_from = cfg.j_max - cfg.tail_average if cfg.tail_average > 0 else cfg.j_max + 1
+    beta_acc = None
+    acc_count = 0
+    for j in range(1, cfg.j_max + 1):
+        s = Xb + z - y + u / sigma
+        beta_new = admm_beta_update(beta, s, spec, sigma, gamma)
+        Xb_new = X @ beta_new
+        z_new = admm_z_update(Xb_new, u, spec, sigma)
+        du = STEP * sigma * (Xb_new + z_new - y)
+        u_new = u + du
+        eps_pinf = float(np.linalg.norm(du) / (STEP * sigma * ynorm1))
+        zeta = X.T @ (du - sigma * s + u) - gamma * (beta_new - beta)
+        eps_dinf = float(np.sqrt(zeta @ zeta + dinf_scale * (du @ du)) / ynorm1)
+        beta, z, u, Xb = beta_new, z_new, u_new, Xb_new
+        if j > avg_from:
+            beta_acc = beta.copy() if beta_acc is None else beta_acc + beta
+            acc_count += 1
+        w_prim = _split_objective(beta, z, spec)
+        w_dual_min = -float(_box_multiplier(u, pr.tau, n) @ y)
+        gap_sum = w_prim + w_dual_min
+        eps_gap = float(abs(gap_sum) / max(1.0, 0.5 * gap_sum))
+        if cfg.record_trace:
+            trace.append((w_prim, -w_dual_min, eps_pinf, eps_dinf, eps_gap))
+        if max(eps_pinf, eps_dinf, eps_gap) <= cfg.eps_admm:
+            converged = True
+            break
+        if cfg.sigma_adapt and j % ADAPT_EVERY == 0 and eps_dinf > 0:
+            ratio = eps_pinf / eps_dinf
+            if ratio > ADAPT_HIGH:
+                sigma *= ADAPT_FACTOR
+                gamma = sigma * xtx_norm
+            elif ratio < ADAPT_LOW:
+                sigma /= ADAPT_FACTOR
+                gamma = sigma * xtx_norm
+    if not converged and acc_count > 0:
+        beta = beta_acc / acc_count
+        z = admm_z_update(X @ beta, u, spec, sigma)
+    state = AdmmState(beta=beta, z=z, u=u, sigma=sigma,
+                      eps_pinf=eps_pinf, eps_dinf=eps_dinf, eps_gap=eps_gap)
+    report = SolverReport(
+        converged=converged, iterations=j, objective=spec.objective(beta),
+        residuals={"eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap},
+        wall_ms=0.0, solver="admm", inner_iterations=j,
+        warnings=[] if converged else ["iteration cap reached"],
+        extras={"w_prim": w_prim, "w_dual": -w_dual_min},
+    )
+    if cfg.record_trace:
+        state.trace = trace
+    return state, report
+
+
+def _as_hex(obj):
+    """obj with every float (also inside arrays, lists and dicts) as float.hex."""
+    if isinstance(obj, dict):
+        return {k: _as_hex(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_as_hex(v) for v in (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
+    if isinstance(obj, float):
+        return obj.hex()
+    return obj
+
+
+def _sigma_moves(state):
+    """(raises, cuts) of sigma read from a traced run's checkpoints."""
+    checks = [state.trace[j - 1] for j in range(50, len(state.trace) + 1, 50)]
+    ratios = [t[2] / t[3] for t in checks if t[3] > 0]
+    return sum(r > 10.0 for r in ratios), sum(r < 0.1 for r in ratios)
+
+
+def test_admm_loop_matches_reference_loop():
+    converging, _ = make_subproblem(8, 25, 10, lam=0.3)
+    adapting, _ = make_subproblem(14, 20, 8, lam=0.2)  # sigma is raised once and cut 7 times
+    warm, _ = admm_solve(converging, AdmmConfig(j_max=100))
+    cases = [
+        (converging, AdmmConfig(), None, None),
+        (converging, AdmmConfig(record_trace=True), None, None),
+        (converging, AdmmConfig(), warm.z, warm.u),
+        (adapting, AdmmConfig(j_max=600), None, None),
+        (adapting, AdmmConfig(j_max=600, record_trace=True), None, None),
+        (adapting, AdmmConfig(j_max=600, tail_average=50), None, None),
+        (adapting, AdmmConfig(j_max=600, tail_average=50, record_trace=True, sigma_adapt=False), None, None),
+    ]
+    outcomes = []
+    for spec, cfg, z0, u0 in cases:
+        state, report = admm_solve(spec, cfg, z0=z0, u0=u0)
+        ref_state, ref_report = _admm_solve_reference(spec, cfg, z0=z0, u0=u0)
+        assert _as_hex(vars(state)) == _as_hex(vars(ref_state))
+        got, want = dict(vars(report)), dict(vars(ref_report))
+        got.pop("wall_ms"), want.pop("wall_ms")
+        assert _as_hex(got) == _as_hex(want)
+        outcomes.append((report.converged, report.iterations))
+        if cfg.record_trace and spec is adapting and cfg.sigma_adapt:
+            assert _sigma_moves(state) == (1, 7)
+    # the cases cover convergence before the cap (cold and warm) and the cap
+    assert outcomes[0][0] and outcomes[0][1] < 3000 and outcomes[2][0]
+    assert not any(c for c, _ in outcomes[3:])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,11 @@ from sqreg import (
     clarke_jacobian_weighted_l1_prox,
     kkt_residual,
     ppa_solve,
+    prox_check_loss,
+    prox_weighted_l1,
 )
-from sqreg.pdsn import _DualWork, _newton_solve
+from sqreg import pdsn
+from sqreg.pdsn import _DualWork, _newton_solve, _strong_wolfe
 
 from conftest import make_problem, make_subproblem
 
@@ -137,7 +142,8 @@ def test_newton_matrix_structure(rng):
     spec, _ = make_subproblem(3, 8, 15, lam=0.12)
     work = make_work(spec)
     u = 0.1 * rng.standard_normal(8)
-    q1, q2, _ = work.prox_args(u, work.X.T @ u)
+    work.value(u, work.X.T @ u)  # leaves the prox arguments in work.q1, work.q2
+    q1, q2 = work.q1, work.q2
     # dense reference W = gamma2^{-1} U + gamma1^{-1} X V X^T + mu I, mu = 1e-5
     U = clarke_jacobian_check_loss_prox(q2, work.g2, work.tau, work.n)
     V = clarke_jacobian_weighted_l1_prox(q1, work.omega, work.g1)
@@ -154,7 +160,8 @@ def test_newton_matrix_empty_active_set():
     pr = QuantileProblem(np.eye(3), np.array([5.0, -4.0, 3.0]), tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.full(3, 1e3))
     work = make_work(spec, gamma1=1.0, gamma2=1.0)
-    q1, q2, _ = work.prox_args(np.zeros(3), np.zeros(3))
+    work.value(np.zeros(3), np.zeros(3))
+    q1, q2 = work.q1, work.q2
     rhs = np.array([1.0, -2.0, 3.0])
     # V = 0 (huge weights), U = I (large residuals): W = (1/g2 + mu) I
     d = work.newton_matrix_solve(q1, q2, rhs, PdsnConfig(newton_mu=1e-5))
@@ -183,7 +190,7 @@ def test_newton_residual_and_gap(rng):
     res /= 1.0 + np.linalg.norm(spec.problem.response)
     assert res <= 1e-8
     # primal-dual gap of the regularized subproblem at the recovered primal
-    _, _, pb, _, _ = work.gradient(u, work.X.T @ u)
+    _, pb = work.gradient(u, work.X.T @ u)
     reg_primal = spec.objective(pb)
     reg_primal += 0.5 * work.g1 * np.sum((pb - work.bj) ** 2)
     reg_primal += 0.5 * work.g2 * np.sum((work.X @ (pb - work.bj)) ** 2)
@@ -311,3 +318,83 @@ def test_ppa_reports_nonconvergence_gracefully():
     assert not report.converged
     assert np.all(np.isfinite(state.beta))
     assert report.objective < spec.objective(np.zeros(80)) + 1e-9
+
+
+def _newton_solve_reference(work, u0, tol, cfg, cache):
+    """The _newton_solve loop that rebuilt Phi and the prox images after every
+    step and evaluated Psi again at alpha = 0, kept as the oracle of the loop
+    that takes them from the line search's last evaluation."""
+    def gradient(u, Xtu):
+        q1 = work.bj - (Xtu - work.delta) / work.g1
+        q2 = work.zj - u / work.g2
+        pz = prox_check_loss(q2, work.g2, work.tau, work.n)
+        pb = prox_weighted_l1(q1, work.omega, work.g1)
+        return work.y - pz - work.X @ pb, pb, q1, q2
+
+    u = np.asarray(u0, dtype=float).copy()
+    Xtu = work.X.T @ u
+    ynorm1 = 1.0 + np.linalg.norm(work.y)
+    warn, psi_trace = [], []
+    phi, pb, q1, q2 = gradient(u, Xtu)
+    iters = 0
+    for iters in range(cfg.max_newton_iters):
+        if np.linalg.norm(phi) / ynorm1 <= tol:
+            break
+        d = work.newton_matrix_solve(q1, q2, -phi, cfg, cache)
+        Xtd = work.X.T @ d
+        psi0, dpsi0 = _value_dir_deriv_fresh(work, u, Xtu, d, Xtd)
+        psi_trace.append(psi0)
+        if dpsi0 >= 0.0:
+            break
+        alpha, _, _, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0)
+        if not ok and alpha == 0.0:
+            warn.append("line search made no progress")
+            break
+        if not ok:
+            warn.append("line search returned best bisection point")
+        u = u + alpha * d
+        Xtu = Xtu + alpha * Xtd
+        phi, pb, q1, q2 = gradient(u, Xtu)
+    else:
+        iters = cfg.max_newton_iters
+        warn.append("newton iteration cap reached")
+    psi_trace.append(_value_dir_deriv_fresh(work, u, Xtu, np.zeros_like(u), np.zeros_like(Xtu))[0])
+    return u, {"iters": iters, "phi_rel": float(np.linalg.norm(phi) / ynorm1),
+               "beta_image": pb, "warnings": warn, "psi_trace": psi_trace}
+
+
+def test_newton_solve_matches_reference_loop(rng, monkeypatch):
+    # every _newton_solve call of whole PPA solves, replayed against the
+    # oracle from the same arguments and Newton-matrix cache
+    calls = []
+
+    def recording(work, u0, tol, cfg, cache=None):
+        calls.append((work, np.array(u0), tol, cfg, copy.deepcopy(cache)))
+        return _newton_solve(work, u0, tol, cfg, cache)
+
+    monkeypatch.setattr(pdsn, "_newton_solve", recording)
+    shifted, _ = make_subproblem(7, 30, 60, lam=0.05)
+    shifted.delta = 0.01 * rng.standard_normal(60)
+    shifted.anchor = 0.1 * rng.standard_normal(60)
+    capped, _ = make_subproblem(77, 30, 80, lam=0.02)
+    runs = [
+        (make_subproblem(3, 30, 80, lam=0.02)[0], PdsnConfig()),  # a best-bisection step
+        (make_subproblem(0, 30, 60, lam=0.1)[0], PdsnConfig()),   # one more, and a step with no progress
+        (shifted, PdsnConfig()),
+        (capped, PdsnConfig(max_newton_iters=5, max_ppa_iters=4)),
+    ]
+    for spec, cfg in runs:
+        ppa_solve(spec, cfg)
+    warnings = []
+    for work, u0, tol, cfg, cache in calls:
+        u, info = _newton_solve(work, u0, tol, cfg, copy.deepcopy(cache))
+        u_ref, ref = _newton_solve_reference(work, u0, tol, cfg, copy.deepcopy(cache))
+        # beta_image too: the sign of its zeros is prox_weighted_l1's
+        for got, want in ((u, u_ref), (info["beta_image"], ref["beta_image"]),
+                          (info["psi_trace"], ref["psi_trace"]), ([info["phi_rel"]], [ref["phi_rel"]])):
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert (info["iters"], info["warnings"]) == (ref["iters"], ref["warnings"])
+        warnings += info["warnings"]
+    assert any(not np.all(work.delta == 0.0) for work, *_ in calls)
+    for kind in ("best bisection point", "no progress", "newton iteration cap"):
+        assert any(kind in w for w in warnings), kind

@@ -9,7 +9,6 @@ from .mscra import (
     lambda_grid,
     mscra_fit,
     rho_schedule,
-    subproblem_inexactness,
 )
 from .pdsn import PdsnConfig, SolverError, SubproblemSpec, kkt_residual, ppa_solve
 from .problem import (

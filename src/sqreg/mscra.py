@@ -122,41 +122,6 @@ def lambda_grid(problem, gamma_min, gamma_max, count):
     return np.maximum(0.01, gammas * scale)
 
 
-def subproblem_inexactness(beta, w_prev, problem, lam, weights=None, kink_tol=1e-9):
-    """Euclidean distance from 0 to the subdifferential of the weighted-l1
-    subproblem objective at beta (the minimum-norm certificate ||delta||).
-
-    The subdifferential is -X^T V + B with V the product of check-loss
-    subgradient intervals at the residuals and B the product of weighted
-    absolute-value subgradient intervals; the distance is the box-constrained
-    least-squares min over V of the componentwise projection onto B.
-    Residuals within kink_tol (scaled by the response) count as at the kink.
-    """
-    from scipy.optimize import minimize
-
-    X, y, tau, n = problem.design, problem.response, problem.tau, problem.n
-    beta = np.asarray(beta, dtype=float)
-    omega = np.asarray(weights, float) if weights is not None else lam * (1.0 - np.asarray(w_prev, float))
-    z = y - X @ beta
-    at_kink = np.abs(z) <= kink_tol * (1.0 + np.max(np.abs(y)))
-    lo = np.where(~at_kink, (tau - (z <= 0)) / n, (tau - 1.0) / n)
-    hi = np.where(~at_kink, (tau - (z <= 0)) / n, tau / n)
-    bz = np.abs(beta) <= 0.0
-    blo = np.where(~bz, omega * np.sign(beta), -omega)
-    bhi = np.where(~bz, omega * np.sign(beta), omega)
-
-    def fg(v):
-        # the stationarity condition is X^T v in B for some v in V
-        g = X.T @ v
-        r = g - np.clip(g, blo, bhi)
-        return float(r @ r), 2.0 * (X @ r)
-
-    v0 = np.clip(np.zeros_like(z), lo, hi)
-    res = minimize(fg, v0, jac=True, method="L-BFGS-B",
-                   bounds=list(zip(lo, hi)), options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-14})
-    return float(np.sqrt(max(res.fun, 0.0)))
-
-
 def _solve_stage(spec, cfg, warm):
     """Solve one stage warm started from ``warm``, the previous stage's
     (z, u_kkt) or None; returns (beta, (z, u_kkt), report).

@@ -1,7 +1,7 @@
 """Proximal dual semismooth Newton solver for the weighted-l1 regularized
 check-loss subproblem
 
-    min_beta  f_tau(y - X beta) + sum_i omega_i |beta_i| - <delta, beta - anchor>.
+    min_beta  f_tau(y - X beta) + sum_i omega_i |beta_i|.
 
 The outer loop is a proximal point algorithm whose j-th step minimizes the
 objective plus (gamma1/2)||beta - beta^j||^2 + (gamma2/2)||X(beta - beta^j)||^2.
@@ -44,11 +44,11 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SubproblemSpec:
-    """One weighted-l1 subproblem: data, weights, inexactness shift, anchor."""
+    """One weighted-l1 subproblem: data, weights and the solvers' start
+    point ``anchor`` (default 0)."""
 
     problem: object
     weights: np.ndarray
-    delta: np.ndarray = None
     anchor: np.ndarray = None
 
     def __post_init__(self):
@@ -59,7 +59,6 @@ class SubproblemSpec:
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         self.weights = w
-        self.delta = np.zeros(p) if self.delta is None else np.asarray(self.delta, float)
         self.anchor = np.zeros(p) if self.anchor is None else np.asarray(self.anchor, float)
 
     def objective(self, beta):
@@ -67,7 +66,6 @@ class SubproblemSpec:
         pr = self.problem
         val = check_loss(pr.response - pr.design @ beta, pr.tau)
         val += float(np.sum(self.weights * np.abs(beta)))
-        val -= float(self.delta @ (beta - self.anchor))
         return val
 
 
@@ -95,20 +93,16 @@ class PdsnState:
     trace: list = field(default_factory=list)
 
 
-def kkt_residual(problem, beta, z, u, weights, delta=None):
+def kkt_residual(problem, beta, z, u, weights):
     """Relative KKT residual at (beta, z, u) of
 
-        min f_tau(z) + sum_i weights_i |beta_i| - <delta, beta>  s.t.  X beta + z = y.
+        min f_tau(z) + sum_i weights_i |beta_i|  s.t.  X beta + z = y.
 
-    Zero exactly when u is a check-loss subgradient at z, X^T u + delta is a
+    Zero exactly when u is a check-loss subgradient at z, X^T u is a
     weighted-l1 subgradient at beta, and y - X beta - z = 0. The weighted-l1
-    block uses the Moreau-complement form beta - P_1 h(beta + X^T u + delta).
-    ``delta=None`` is a zero shift, as in the stage residual of the coupled
-    penalized problem.
+    block uses the Moreau-complement form beta - P_1 h(beta + X^T u).
     """
     v = beta + problem.design.T @ u
-    if delta is not None:
-        v = v + delta
     b1 = z - prox_check_loss(z + u, 1.0, problem.tau, problem.n)
     b2 = beta - prox_weighted_l1(v, weights, 1.0)
     b3 = problem.response - problem.design @ beta - z
@@ -126,26 +120,22 @@ class _DualWork:
         self.n, self.p = pr.n, pr.p
         self.tau = pr.tau
         self.omega = spec.weights
-        self.delta = spec.delta
         self.bj = np.asarray(beta_anchor, dtype=float)
         self.zj = self.y - self.X @ self.bj
         self.g1 = float(gamma1)
         self.g2 = float(gamma2)
-        self.const = float(spec.delta @ (self.bj - spec.anchor))
         self.hi2 = self.tau / (self.n * self.g2)
         self.lo2 = (self.tau - 1.0) / (self.n * self.g2)
         self.thr1 = self.omega / self.g1
         self.neg_thr1 = -self.thr1
-        # x - 0.0 == x bit for bit, so an all-(+0.0) shift is skipped
-        self.zero_delta = not (np.any(self.delta) or np.any(np.signbit(self.delta)))
         # the prox arguments and images at the last evaluated point (see
         # value), and scratch buffers
-        self.q1, self.pb, self._xd, self._cb = (np.empty(self.p) for _ in range(4))
+        self.q1, self.pb, self._cb = (np.empty(self.p) for _ in range(3))
         self.q2, self.pz, self._cz = (np.empty(self.n) for _ in range(3))
         self._le = np.empty(self.n, dtype=bool)
 
     def value(self, u, Xtu):
-        """Psi(u), leaving the prox arguments q1 = beta^j - (X^T u - delta)/g1,
+        """Psi(u), leaving the prox arguments q1 = beta^j - X^T u/g1,
         q2 = z^j - u/g2 and the images pz = q2 - clip(q2, lo, hi),
         pb = q1 - clip(q1, -thr, thr) (box-projection identities) in the
         buffers ``self.q1``, ``self.q2``, ``self.pz``, ``self.pb``, which the
@@ -156,8 +146,7 @@ class _DualWork:
         """
         g1, g2 = self.g1, self.g2
         q2, cz, pz, q1, cb, pb = self.q2, self._cz, self.pz, self.q1, self._cb, self.pb
-        xd = Xtu if self.zero_delta else np.subtract(Xtu, self.delta, out=self._xd)
-        np.subtract(self.bj, np.divide(xd, g1, out=q1), out=q1)
+        np.subtract(self.bj, np.divide(Xtu, g1, out=q1), out=q1)
         np.subtract(self.zj, np.divide(u, g2, out=q2), out=q2)
         np.minimum(np.maximum(q2, self.lo2, out=cz), self.hi2, out=cz)
         np.subtract(q2, cz, out=pz)
@@ -168,8 +157,8 @@ class _DualWork:
         wz = np.subtract(self.tau, np.less_equal(pz, 0, out=self._le), out=cz)
         env_f = float(wz @ pz) / self.n + 0.5 * g2 * cz2
         env_h = float(self.omega @ np.abs(pb, out=cb)) + 0.5 * g1 * cb2
-        quad = 0.5 * float(u @ u) / g2 + 0.5 * float(xd @ xd) / g1
-        return quad - env_f - env_h + self.const
+        quad = 0.5 * float(u @ u) / g2 + 0.5 * float(Xtu @ Xtu) / g1
+        return quad - env_f - env_h
 
     def dir_deriv(self, d, Xtd):
         """<grad Psi, d> at the last evaluated point:
@@ -177,15 +166,10 @@ class _DualWork:
         ypz = np.subtract(self.y, self.pz, out=self._cz)
         return float(ypz @ d - self.pb @ Xtd)
 
-    def value_dir_deriv(self, u, Xtu, d, Xtd):
-        """(Psi(u), <grad Psi(u), d>) without forming the full gradient."""
-        return self.value(u, Xtu), self.dir_deriv(d, Xtd)
-
     def along(self, u, Xtu, d, Xtd):
-        """The line-search evaluator a -> (Psi(u + a d), <grad Psi(u + a d), d>).
-
-        Bit-identical to value_dir_deriv(u + a*d, Xtu + a*Xtd, d, Xtd), with
-        the trial point formed in buffers of this evaluator.
+        """The line-search evaluator a -> (Psi(u + a d), <grad Psi(u + a d), d>),
+        with the trial point formed in buffers of this evaluator. A
+        non-finite Psi raises FloatingPointError.
         """
         ua = np.empty_like(u)
         Xtua = np.empty_like(Xtu)
@@ -193,7 +177,10 @@ class _DualWork:
         def ev(a):
             np.add(u, np.multiply(d, a, out=ua), out=ua)
             np.add(Xtu, np.multiply(Xtd, a, out=Xtua), out=Xtua)
-            return self.value_dir_deriv(ua, Xtua, d, Xtd)
+            psi = self.value(ua, Xtua)
+            if not np.isfinite(psi):
+                raise FloatingPointError("non-finite dual value in line search")
+            return psi, self.dir_deriv(d, Xtd)
 
         return ev
 
@@ -296,14 +283,7 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
     earlier one.
     """
 
-    along = work.along(u, Xtu, d, Xtd)
-
-    def ev(a):
-        psi_a, dpsi_a = along(a)
-        if not np.isfinite(psi_a):
-            raise FloatingPointError("non-finite dual value in line search")
-        return psi_a, dpsi_a
-
+    ev = work.along(u, Xtu, d, Xtd)
     evals = 0
     a_prev, psi_prev, dpsi_prev = 0.0, psi0, dpsi0
     a = 1.0
@@ -408,7 +388,7 @@ def ppa_solve(spec, cfg=None, u0=None):
 
     Parameters
     ----------
-    spec : SubproblemSpec with the data, weights, shift and warm-start anchor.
+    spec : SubproblemSpec with the data, weights and warm-start anchor.
     cfg : PdsnConfig; the gamma and eps schedules are the module constants
         (gamma_{1,0} = gamma_{2,0} = min(0.1, R0), shrink 5/7, floor 1e-8,
         eps schedule 1e-6 -> max(eps_ppa_floor, eps/10)).
@@ -422,7 +402,7 @@ def ppa_solve(spec, cfg=None, u0=None):
     beta = np.asarray(spec.anchor, dtype=float).copy()
     z = y - X @ beta
     u_kkt = np.zeros(pr.n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    err = kkt_residual(pr, beta, z, u_kkt, spec.weights, spec.delta)
+    err = kkt_residual(pr, beta, z, u_kkt, spec.weights)
     gamma = max(min(0.1, err), GAMMA_FLOOR)  # gamma_1 = gamma_2 throughout
     eps = EPS_PPA_0
     u_psi = -u_kkt
@@ -460,7 +440,7 @@ def ppa_solve(spec, cfg=None, u0=None):
         cur_obj = new_obj
         z = y - X @ beta
         u_kkt = -u_psi
-        err = kkt_residual(pr, beta, z, u_kkt, spec.weights, spec.delta)
+        err = kkt_residual(pr, beta, z, u_kkt, spec.weights)
         trace.append(cur_obj)
         if err <= eps:
             converged = True

@@ -6,6 +6,10 @@ from functools import cached_property
 import numpy as np
 from dataclasses import dataclass, replace
 
+POWER_REL_TOL = 1e-8    # power iteration stops at this relative change
+POWER_MAX_ITERS = 500   # power iteration sweeps at most
+SUPPORT_REL_TOL = 1e-6  # support rule |beta_i| > SUPPORT_REL_TOL max(1, ||beta||_inf)
+
 
 def _frozen_array(a, dtype=float):
     a = np.array(a, dtype=dtype, copy=True)
@@ -75,17 +79,17 @@ class MatrixNorms:
     only; the matrix must not change before then.
     """
 
-    def __init__(self, A, rel_tol, max_iters):
+    def __init__(self, A):
         aabs = np.abs(A)
         self.col_sum = float(np.max(aabs.sum(axis=0)))
         self.max_abs = float(np.max(aabs))
         if min(self.max_abs, self.col_sum) < 0:
             raise ValueError("matrix norms must be nonnegative")
-        self._power_args = (A, rel_tol, max_iters)
+        self._A = A
 
     @cached_property
     def spectral(self):
-        spectral = max(_spectral_norm(*self._power_args), self.max_abs)
+        spectral = max(_spectral_norm(self._A), self.max_abs)
         # nonnegative as max_abs is; and spectral >= max_abs for every
         # matrix (|e_i^T A e_j| <= sigma_max)
         if spectral < self.max_abs * (1.0 - 1e-9):
@@ -101,7 +105,7 @@ def check_loss(z, tau):
     return float(np.mean((tau - (z <= 0)) * z))
 
 
-def _spectral_norm(A, rel_tol=1e-8, max_iters=500):
+def _spectral_norm(A):
     # power iteration on the smaller Gram matrix; only the magnitude is needed
     n, p = A.shape
     scale = np.max(np.abs(A))
@@ -116,31 +120,31 @@ def _spectral_norm(A, rel_tol=1e-8, max_iters=500):
     v = 1.0 + np.arange(dim) / (2.0 * dim)  # deterministic, not axis-aligned
     v /= np.linalg.norm(v)
     s = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         w = mv(v)
         s_new = np.linalg.norm(w)
         if s_new == 0.0:
             break
         v = w / s_new
-        if abs(s_new - s) <= rel_tol * s_new:
+        if abs(s_new - s) <= POWER_REL_TOL * s_new:
             s = s_new
             break
         s = s_new
     return float(np.sqrt(s))
 
 
-def matrix_norms(design, rel_tol=1e-8, max_iters=500):
+def matrix_norms(design):
     """MatrixNorms of a design matrix.
 
     The spectral norm uses power iteration on the Gram matrix (relative
-    tolerance ``rel_tol``, at most ``max_iters`` sweeps) when first read.
+    tolerance POWER_REL_TOL, at most POWER_MAX_ITERS sweeps) when first read.
     """
     A = np.asarray(design, dtype=float)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    return MatrixNorms(A, rel_tol, max_iters)
+    return MatrixNorms(A)
 
 
 def standardize(problem):
@@ -212,13 +216,13 @@ def load_csv(path, has_header=False, add_intercept=False):
     return QuantileProblem(X, y, tau=0.5, intercept_column=add_intercept)
 
 
-def support_mask(beta, rel_tol=1e-6):
-    """Selected entries: |beta_i| > rel_tol * max(1, ||beta||_inf)."""
+def support_mask(beta):
+    """Selected entries: |beta_i| > SUPPORT_REL_TOL * max(1, ||beta||_inf)."""
     beta = np.asarray(beta, dtype=float)
-    thr = rel_tol * max(1.0, float(np.max(np.abs(beta))) if beta.size else 0.0)
+    thr = SUPPORT_REL_TOL * max(1.0, float(np.max(np.abs(beta))) if beta.size else 0.0)
     return np.abs(beta) > thr
 
 
-def nonzero_count(beta, rel_tol=1e-6):
+def nonzero_count(beta):
     """Number of entries selected by ``support_mask``."""
-    return int(np.count_nonzero(support_mask(beta, rel_tol)))
+    return int(np.count_nonzero(support_mask(beta)))

@@ -11,8 +11,6 @@ componentwise, with theta_tau(u) = (tau - 1{u<=0}) u.
 
 import numpy as np
 
-TIE_RULES = ("zero", "one")
-
 
 def prox_weighted_l1(z, omega, gamma):
     """Soft threshold with per-component threshold omega_i / gamma."""
@@ -54,33 +52,24 @@ def moreau_env_check_loss(z, gamma, tau, n):
     return float(loss + 0.5 * gamma * np.sum((p - z) ** 2))
 
 
-def _tie_value(tie_rule):
-    if tie_rule not in TIE_RULES:
-        raise ValueError(f"tie_rule must be one of {TIE_RULES}")
-    return 0.0 if tie_rule == "zero" else 1.0
-
-
-def clarke_jacobian_check_loss_prox(z, gamma, tau, n, tie_rule="zero"):
+def clarke_jacobian_check_loss_prox(z, gamma, tau, n):
     """Diagonal element of the Clarke Jacobian of prox_check_loss at z.
 
-    Returns the 0/1 diagonal: 1 strictly outside the kinks, 0 strictly
-    inside, tie_rule at a kink.
+    Returns the 0/1 diagonal: 1 strictly outside the kinks, 0 inside and at
+    a kink.
     """
-    tie = _tie_value(tie_rule)
     z = np.asarray(z, dtype=float)
     hi = tau / (n * gamma)
     lo = (tau - 1.0) / (n * gamma)
-    return np.where((z > hi) | (z < lo), 1.0, np.where((z == hi) | (z == lo), tie, 0.0))
+    return np.where((z > hi) | (z < lo), 1.0, 0.0)
 
 
-def clarke_jacobian_weighted_l1_prox(z, omega, gamma, tie_rule="zero"):
+def clarke_jacobian_weighted_l1_prox(z, omega, gamma):
     """Diagonal element of the Clarke Jacobian of prox_weighted_l1 at z.
 
-    Returns the 0/1 diagonal: 1 where |gamma z_i| > omega_i, 0 where strictly
-    below, tie_rule at the kink |gamma z_i| = omega_i.
+    Returns the 0/1 diagonal: 1 where |gamma z_i| > omega_i, 0 elsewhere
+    (the kink |gamma z_i| = omega_i included).
     """
-    tie = _tie_value(tie_rule)
     z = np.asarray(z, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    mag = np.abs(gamma * z)
-    return np.where(mag > omega, 1.0, np.where(mag == omega, tie, 0.0))
+    return np.where(np.abs(gamma * z) > omega, 1.0, 0.0)

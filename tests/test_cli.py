@@ -184,6 +184,19 @@ def test_pool_workers_pin_blas_threads():
     assert pooled == serial
 
 
+@pytest.mark.parametrize("module", ["sqreg", "sqreg.cli"])
+def test_import_loads_no_scipy(module):
+    # the README's start-up contract: scipy loads only on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(sqreg.__file__)), env.get("PYTHONPATH", "")])
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_fit_with_intercept_and_standardize(tmp_path):
     rng = np.random.default_rng(8)
     X = rng.standard_normal((50, 4)) * np.array([1.0, 10.0, 0.1, 1.0])

@@ -15,7 +15,6 @@ from sqreg import (
     rho_schedule,
     scad,
     selection_metrics,
-    subproblem_inexactness,
 )
 from sqreg.mscra import stage_kkt_residual
 
@@ -135,45 +134,6 @@ def test_lambda_grid():
     assert g2[-1] == pytest.approx(max(0.01, 0.25 * scale))
     tiny = QuantileProblem(np.full((4, 2), 1e-6), np.zeros(4), tau=0.5)
     assert np.all(lambda_grid(tiny, 0.02, 0.25, 5) == 0.01)
-
-
-def test_subproblem_inexactness_zero_at_optimum():
-    # 1-d instance solved exactly: distance certificate is ~0
-    problem, _ = make_problem(8, 30, 1, sparsity=1, noise=0.2)
-    lam = 0.05
-    spec = SubproblemSpec(problem=problem, weights=np.full(1, lam))
-    state, _ = ppa_solve(spec, PdsnConfig(eps_ppa_floor=1e-10))
-    r = subproblem_inexactness(state.beta, np.zeros(1), problem, lam)
-    assert r <= 1e-6
-    # shifting off the optimum grows the certificate roughly linearly
-    r1 = subproblem_inexactness(state.beta + 0.05, np.zeros(1), problem, lam)
-    r2 = subproblem_inexactness(state.beta + 0.10, np.zeros(1), problem, lam)
-    assert r1 > 1e-4 and r2 > r1
-
-
-def test_subproblem_inexactness_enumeration_oracle(rng):
-    # n=3, p=2: oracle enumerates the subgradient box on a fine grid
-    X = rng.standard_normal((3, 2))
-    y = rng.standard_normal(3)
-    pr = QuantileProblem(X, y, tau=0.4)
-    lam = 0.3
-    beta = np.array([0.5, 0.0])
-    got = subproblem_inexactness(beta, np.zeros(2), pr, lam)
-    z = y - X @ beta
-    tau = 0.4
-    lo = np.where(z != 0, (tau - (z <= 0)) / 3, (tau - 1) / 3)
-    hi = np.where(z != 0, (tau - (z <= 0)) / 3, tau / 3)
-    blo = np.where(beta != 0, lam * np.sign(beta), -lam)
-    bhi = np.where(beta != 0, lam * np.sign(beta), lam)
-    best = np.inf
-    grids = [np.linspace(lo[i], hi[i], 41) if hi[i] > lo[i] else np.array([lo[i]]) for i in range(3)]
-    for v0 in grids[0]:
-        for v1 in grids[1]:
-            for v2 in grids[2]:
-                g = X.T @ np.array([v0, v1, v2])
-                r = g - np.clip(g, blo, bhi)
-                best = min(best, float(np.sqrt(r @ r)))
-    assert got == pytest.approx(best, abs=1e-3)
 
 
 def test_mm_monotone_small():

@@ -51,7 +51,8 @@ def lp_oracle(problem, weights):
 def test_dual_gradient_finite_difference(rng):
     for seed in range(3):
         spec, _ = make_subproblem(seed, 12, 25, lam=0.15)
-        work = make_work(spec, gamma1=0.07, gamma2=0.04)
+        anchor = None if seed == 0 else 0.1 * rng.standard_normal(25)  # PPA anchors away from 0 too
+        work = make_work(spec, beta=anchor, gamma1=0.07, gamma2=0.04)
         for _ in range(4):
             u = 0.05 * rng.standard_normal(12)
             grad = phi(work, u)
@@ -61,19 +62,6 @@ def test_dual_gradient_finite_difference(rng):
                 e[i] = h
                 fd = (psi(work, u + e) - psi(work, u - e)) / (2 * h)
                 assert abs(fd - grad[i]) <= 1e-5 * max(1.0, abs(grad[i]))
-
-
-def test_dual_gradient_fd_with_delta(rng):
-    # the identity grad Psi = Phi must hold for nonzero inexactness shifts too
-    spec, _ = make_subproblem(7, 10, 18, lam=0.2)
-    spec.delta = 0.03 * rng.standard_normal(18)
-    spec.anchor = 0.1 * rng.standard_normal(18)
-    work = make_work(spec, beta=spec.anchor.copy())
-    u = 0.02 * rng.standard_normal(10)
-    grad = phi(work, u)
-    h = 1e-6
-    fd = np.array([(psi(work, u + h * e) - psi(work, u - h * e)) / (2 * h) for e in np.eye(10)])
-    assert np.max(np.abs(fd - grad)) <= 1e-5 * max(1.0, np.max(np.abs(grad)))
 
 
 def test_dual_residual_trivial_instance():
@@ -98,44 +86,42 @@ def _value_dir_deriv_fresh(work, u, Xtu, d, Xtd):
     """(Psi(u), <grad Psi(u), d>) in fresh arrays through np.clip, the form
     the buffered evaluator replaced."""
     g1, g2 = work.g1, work.g2
-    xd = Xtu - work.delta
-    q1, q2 = work.bj - xd / g1, work.zj - u / g2
+    q1, q2 = work.bj - Xtu / g1, work.zj - u / g2
     cz = np.clip(q2, work.lo2, work.hi2)
     pz = q2 - cz
     cb = np.clip(q1, -work.thr1, work.thr1)
     pb = q1 - cb
     env_f = float((work.tau - (pz <= 0)) @ pz) / work.n + 0.5 * g2 * float(cz @ cz)
     env_h = float(work.omega @ np.abs(pb)) + 0.5 * g1 * float(cb @ cb)
-    quad = 0.5 * float(u @ u) / g2 + 0.5 * float(xd @ xd) / g1
-    return quad - env_f - env_h + work.const, float((work.y - pz) @ d - pb @ Xtd)
+    quad = 0.5 * float(u @ u) / g2 + 0.5 * float(Xtu @ Xtu) / g1
+    return quad - env_f - env_h, float((work.y - pz) @ d - pb @ Xtd)
 
 
-@pytest.mark.parametrize("with_delta", [False, True])
-def test_line_evaluator_bit_identical(rng, with_delta):
+def test_line_evaluator_bit_identical(rng):
     n, p = 30, 60
     X = rng.standard_normal((n, p))
     X[:, 3] = 0.0  # with omega_3 = 0 and anchor -0.0: q1_3 = -0.0 meets a zero clip bound
     y = X[:, :4] @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 * rng.standard_normal(n)
     weights = np.full(p, 0.05)
     weights[[0, 3]] = 0.0
-    delta = 0.01 * rng.standard_normal(p) if with_delta else None
-    spec = SubproblemSpec(problem=QuantileProblem(X, y, tau=0.3), weights=weights, delta=delta,
-                          anchor=0.1 * rng.standard_normal(p))
+    spec = SubproblemSpec(problem=QuantileProblem(X, y, tau=0.3), weights=weights)
     beta = 0.2 * rng.standard_normal(p)
     beta[3] = -0.0
     work = make_work(spec, beta, gamma1=0.07, gamma2=0.04)
     u, d = 0.05 * rng.standard_normal(n), rng.standard_normal(n)
     Xtu, Xtd = X.T @ u, X.T @ d
     hexes = lambda pair: tuple(float(v).hex() for v in pair)
-    assert hexes(work.value_dir_deriv(u, Xtu, d, Xtd)) == hexes(_value_dir_deriv_fresh(work, u, Xtu, d, Xtd))
     ev = work.along(u, Xtu, d, Xtd)
     # a1, a2, a1: a repeat must not see state left by the call before it
-    for a in (0.37, 2.5, 0.37, 1.0, 1e-3):
+    for a in (0.0, 0.37, 2.5, 0.37, 1.0, 1e-3):
         ua, Xtua = u + a * d, Xtu + a * Xtd
         want = hexes(_value_dir_deriv_fresh(work, ua, Xtua, d, Xtd))
         assert hexes(ev(a)) == want
-        assert hexes(work.value_dir_deriv(ua, Xtua, d, Xtd)) == want
         assert float(work.value(ua, Xtua)).hex() == want[0]
+        assert float(work.dir_deriv(d, Xtd)).hex() == want[1]
+    # a non-finite dual value stops the search
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        ev(np.inf)
 
 
 def test_newton_matrix_structure(rng):
@@ -265,12 +251,11 @@ def test_kkt_residual_zero_at_constructed_point():
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 8), tau=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1),
-       with_delta=st.booleans())
-def test_kkt_residual_zero_at_random_kkt_triples(n, tau, seed, with_delta):
+@given(n=st.integers(1, 8), tau=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_kkt_residual_zero_at_random_kkt_triples(n, tau, seed):
     # diagonal design, random signs of z and beta (zeros included), random
-    # weights and shift: u is built in the check-loss subgradient at z and
-    # the weights so that X^T u + delta is a weighted-l1 subgradient at beta
+    # weights: u is built in the check-loss subgradient at z and the weights
+    # so that X^T u is a weighted-l1 subgradient at beta
     rng = np.random.default_rng(seed)
     d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
     X = np.diag(d)
@@ -278,20 +263,16 @@ def test_kkt_residual_zero_at_random_kkt_triples(n, tau, seed, with_delta):
     z = z_sign * rng.uniform(0.1, 5.0, n)
     lo, hi = (tau - 1.0) / n, tau / n
     u = np.where(z_sign > 0, hi, np.where(z_sign < 0, lo, rng.uniform(lo, hi, n)))
-    delta = rng.uniform(-0.2, 0.2, n) if with_delta else None
-    g = d * u if delta is None else d * u + delta
+    g = d * u
     active = rng.random(n) < 0.5
     beta = np.where(active, np.sign(g) * rng.uniform(0.1, 5.0, n), 0.0)
     weights = np.abs(g) + np.where(active, 0.0, rng.uniform(0.0, 0.3, n))
     pr = QuantileProblem(X, X @ beta + z, tau=tau)
-    res = kkt_residual(pr, beta, z, u, weights, delta)
-    assert res <= 1e-12
-    if delta is None:  # both call shapes agree on a zero shift
-        assert kkt_residual(pr, beta, z, u, weights, np.zeros(n)) == res
+    assert kkt_residual(pr, beta, z, u, weights) <= 1e-12
     e = np.zeros(n)
     e[rng.integers(n)] = rng.uniform(0.05, 1.0)
-    assert kkt_residual(pr, beta + e, z, u, weights, delta) > 1e-6
-    assert kkt_residual(pr, beta, z + e, u, weights, delta) > 1e-6
+    assert kkt_residual(pr, beta + e, z, u, weights) > 1e-6
+    assert kkt_residual(pr, beta, z + e, u, weights) > 1e-6
 
 
 def test_cg_branch_matches_dense():
@@ -325,7 +306,7 @@ def _newton_solve_reference(work, u0, tol, cfg, cache):
     step and evaluated Psi again at alpha = 0, kept as the oracle of the loop
     that takes them from the line search's last evaluation."""
     def gradient(u, Xtu):
-        q1 = work.bj - (Xtu - work.delta) / work.g1
+        q1 = work.bj - Xtu / work.g1
         q2 = work.zj - u / work.g2
         pz = prox_check_loss(q2, work.g2, work.tau, work.n)
         pb = prox_weighted_l1(q1, work.omega, work.g1)
@@ -373,14 +354,13 @@ def test_newton_solve_matches_reference_loop(rng, monkeypatch):
         return _newton_solve(work, u0, tol, cfg, cache)
 
     monkeypatch.setattr(pdsn, "_newton_solve", recording)
-    shifted, _ = make_subproblem(7, 30, 60, lam=0.05)
-    shifted.delta = 0.01 * rng.standard_normal(60)
-    shifted.anchor = 0.1 * rng.standard_normal(60)
+    anchored, _ = make_subproblem(7, 30, 60, lam=0.05)
+    anchored.anchor = 0.1 * rng.standard_normal(60)
     capped, _ = make_subproblem(77, 30, 80, lam=0.02)
     runs = [
         (make_subproblem(3, 30, 80, lam=0.02)[0], PdsnConfig()),  # a best-bisection step
         (make_subproblem(0, 30, 60, lam=0.1)[0], PdsnConfig()),   # one more, and a step with no progress
-        (shifted, PdsnConfig()),
+        (anchored, PdsnConfig()),  # a PPA start away from 0
         (capped, PdsnConfig(max_newton_iters=5, max_ppa_iters=4)),
     ]
     for spec, cfg in runs:
@@ -395,6 +375,5 @@ def test_newton_solve_matches_reference_loop(rng, monkeypatch):
             assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
         assert (info["iters"], info["warnings"]) == (ref["iters"], ref["warnings"])
         warnings += info["warnings"]
-    assert any(not np.all(work.delta == 0.0) for work, *_ in calls)
     for kind in ("best bisection point", "no progress", "newton iteration cap"):
         assert any(kind in w for w in warnings), kind

@@ -147,8 +147,7 @@ def test_weighted_l1_optimality_certificate(rng):
 def test_jacobian_check_loss():
     assert clarke_jacobian_check_loss_prox(np.array([2.0]), 1.0, 0.5, 1)[0] == 1.0
     assert clarke_jacobian_check_loss_prox(np.array([0.0]), 1.0, 0.5, 1)[0] == 0.0
-    assert clarke_jacobian_check_loss_prox(np.array([0.5]), 1.0, 0.5, 1)[0] == 0.0
-    assert clarke_jacobian_check_loss_prox(np.array([0.5]), 1.0, 0.5, 1, "one")[0] == 1.0
+    assert clarke_jacobian_check_loss_prox(np.array([0.5]), 1.0, 0.5, 1)[0] == 0.0  # at the kink
 
 
 def test_jacobian_weighted_l1():
@@ -156,16 +155,13 @@ def test_jacobian_weighted_l1():
     assert clarke_jacobian_weighted_l1_prox(np.array([0.5]), np.array([1.0]), 1.0)[0] == 0.0
     kink = clarke_jacobian_weighted_l1_prox(np.array([1.0]), np.array([1.0]), 1.0)
     assert kink[0] == 0.0
-    kink1 = clarke_jacobian_weighted_l1_prox(np.array([1.0]), np.array([1.0]), 1.0, "one")
-    assert kink1[0] == 1.0
 
 
 def test_jacobian_diag_valid(rng):
     for _ in range(20):
         z = rng.standard_normal(9)
         omega = rng.uniform(0, 2, 9)
-        for tie in ("zero", "one"):
-            d1 = clarke_jacobian_weighted_l1_prox(z, omega, 1.1, tie)
-            d2 = clarke_jacobian_check_loss_prox(z, 1.1, 0.4, 9, tie)
-            for d in (d1, d2):
-                assert np.all((d >= 0.0) & (d <= 1.0))
+        d1 = clarke_jacobian_weighted_l1_prox(z, omega, 1.1)
+        d2 = clarke_jacobian_check_loss_prox(z, 1.1, 0.4, 9)
+        for d in (d1, d2):
+            assert np.all((d >= 0.0) & (d <= 1.0))

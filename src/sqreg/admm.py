@@ -33,7 +33,6 @@ class AdmmConfig:
     j_max: int = 3000
     eps_admm: float = 1e-6
     sigma_adapt: bool = True
-    record_trace: bool = False
     tail_average: int = 0  # >0: report the ergodic mean of the last K betas
                            # when the iteration cap is reached (oscillation damping)
 
@@ -51,7 +50,6 @@ class AdmmState:
     eps_pinf: float
     eps_dinf: float
     eps_gap: float
-    trace: list = None
 
 
 def admm_beta_update(beta, s, spec, sigma, gamma_prox):
@@ -115,7 +113,6 @@ def admm_solve(spec, cfg=None, z0=None, u0=None):
     ynorm1 = 1.0 + np.linalg.norm(y)
     eps_pinf = eps_dinf = eps_gap = np.inf
     converged = False
-    trace = []
     j = 0
     Xb = X @ beta
     dinf_scale = (1.0 / STEP - 1.0) ** 2
@@ -138,16 +135,14 @@ def admm_solve(spec, cfg=None, z0=None, u0=None):
             beta_acc = beta.copy() if beta_acc is None else beta_acc + beta
             acc_count += 1
         # the gap can only stop the loop once both infeasibilities are small;
-        # it is also reported at the cap and traced on request
+        # it is also reported at the cap
         infeas = max(eps_pinf, eps_dinf)
-        if infeas <= cfg.eps_admm or j == cfg.j_max or cfg.record_trace:
+        if infeas <= cfg.eps_admm or j == cfg.j_max:
             w_prim = _split_objective(beta, z, spec)
             # dual objective at the box-clipped multiplier, min form
             w_dual_min = -float(_box_multiplier(u, pr.tau, n) @ y)
             gap_sum = w_prim + w_dual_min
             eps_gap = float(abs(gap_sum) / max(1.0, 0.5 * gap_sum))
-            if cfg.record_trace:
-                trace.append((w_prim, -w_dual_min, eps_pinf, eps_dinf, eps_gap))
             if max(infeas, eps_gap) <= cfg.eps_admm:
                 converged = True
                 break
@@ -175,8 +170,5 @@ def admm_solve(spec, cfg=None, z0=None, u0=None):
         solver="admm",
         inner_iterations=j,
         warnings=[] if converged else ["iteration cap reached"],
-        extras={"w_prim": w_prim, "w_dual": -w_dual_min},
     )
-    if cfg.record_trace:
-        state.trace = trace
     return state, report

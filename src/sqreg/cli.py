@@ -40,6 +40,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _checked(kind, ok, what):
+    """argparse type: ``kind(text)``, a usage error unless it is ``what``."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_WORKERS = _checked(int, lambda v: v >= 0, ">= 0")
+_STEP = _checked(float, lambda v: v > 0, "> 0")
+
+
 def _write(text, out):
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -66,7 +83,7 @@ def _add_common(sub, tau=True, lam=False, model=False, threads=False):
         sub.add_argument("--solver", choices=("pdsn", "admm"), default="pdsn")
     sub.add_argument("--seed", type=int, default=0)
     if threads:
-        sub.add_argument("--threads", type=int, default=0, help="0 = machine parallelism")
+        sub.add_argument("--threads", type=_WORKERS, default=0, help="0 = machine parallelism")
     sub.add_argument("--out", default=None)
 
 
@@ -147,12 +164,12 @@ def _subproblem_solve(problem, lam, solver):
 
 
 def cmd_lambda_sweep(args):
+    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not solvers or not set(solvers) <= {"pdsn", "admm"}:
+        raise ValueError("--solvers takes a comma-separated subset of pdsn,admm")
     ds = generate(_synthetic_spec(args))
     problem = ds.problem.with_tau(args.tau)
     lams = lambda_grid(problem, args.gamma_min, args.gamma_max, args.count)
-    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    if not set(solvers) <= {"pdsn", "admm"}:
-        raise ValueError("--solvers takes a comma-separated subset of pdsn,admm")
     rows = []
     for lam in lams:
         for solver in solvers:
@@ -179,6 +196,8 @@ def _tau_sweep_one(payload):
 
 
 def cmd_tau_sweep(args):
+    if not 0.0 < args.tau_min <= args.tau_max < 1.0:
+        raise ValueError("need 0 < --tau-min <= --tau-max < 1")
     taus = [round(t, 10) for t in np.arange(args.tau_min, args.tau_max + 1e-12, args.tau_step).tolist()]
     seeds = [args.seed ^ r for r in range(args.reps)]
     base = {"n": args.n, "p": args.p, "beta_pattern": args.pattern,
@@ -259,14 +278,16 @@ def cmd_bench(args):
         spec = {"n": args.n, "p": args.p, "beta_pattern": "fixed16",
                 "covariance": args.cov, "noise": args.noise, "noise_var": args.noise_var,
                 "snr": None}
-    lam = args.lam if args.nu is None else 1.0 / args.nu
-    if lam is None:
+    lam = args.lam
+    if lam is None and args.nu is None:
         gamma = args.gamma if args.gamma is not None else (0.1 if kind == "hetero" else 0.116)
         probe = generate(SyntheticSpec(**spec, seed=args.seed))
         lam = float(lambda_grid(probe.problem, gamma, gamma, 1)[0])
+    # checks lambda/nu before any worker starts
+    cfg = _mscra_config(args.tau, lam, _model(args), nu=args.nu)
     scenario = f"{args.model}:{args.cov}:{args.noise}:tau{args.tau}"
     payloads = [{"kind": kind, "spec": spec, "seed": args.seed ^ r, "rep": r,
-                 "tau": args.tau, "lam": lam, "model": _model(args)}
+                 "tau": args.tau, "lam": cfg.lam, "model": _model(args)}
                 for r in range(args.reps)]
     records = _run_pool(_bench_one, payloads, args.threads)
     records.sort(key=lambda r: r["rep"])
@@ -329,8 +350,8 @@ def build_parser():
     ts.add_argument("--snr", type=float, default=None)
     ts.add_argument("--tau-min", type=float, default=0.05)
     ts.add_argument("--tau-max", type=float, default=0.95)
-    ts.add_argument("--tau-step", type=float, default=0.05)
-    ts.add_argument("--reps", type=int, default=10)
+    ts.add_argument("--tau-step", type=_STEP, default=0.05)
+    ts.add_argument("--reps", type=_COUNT, default=10)
     _add_common(ts, tau=False, threads=True)
     ts.set_defaults(fn=cmd_tau_sweep)
 
@@ -343,7 +364,7 @@ def build_parser():
     bn.add_argument("--noise-var", type=float, default=2.0)
     bn.add_argument("--gamma", type=float, default=None,
                     help="penalty scale; default 0.116 (fixed16) or 0.1 (hetero)")
-    bn.add_argument("--reps", type=int, default=10)
+    bn.add_argument("--reps", type=_COUNT, default=10)
     _add_common(bn, lam=True, model=True, threads=True)
     bn.set_defaults(fn=cmd_bench)
 

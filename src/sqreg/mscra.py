@@ -46,12 +46,12 @@ class MscraConfig:
     def __post_init__(self):
         if (self.lam is None) == (self.nu is None):
             raise ValueError("specify exactly one of lam and nu")
+        if not 0.0 < (self.nu if self.lam is None else self.lam) < float("inf"):
+            raise ValueError("lambda and nu must be positive and finite")
         if self.lam is None:
             self.lam = 1.0 / self.nu
         else:
             self.nu = 1.0 / self.lam
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must be in (0,1)")
         if self.solver not in ("pdsn", "admm"):

@@ -12,7 +12,7 @@ Psi, whose gradient Phi is assembled from the two proximal maps.
 import time
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .problem import check_loss
 from .prox import (
@@ -35,6 +35,8 @@ NEWTON_TOL_FACTOR = 0.1
 WOLFE_C1 = 1e-4  # strong-Wolfe sufficient decrease
 WOLFE_C2 = 0.9   # strong-Wolfe curvature
 MAX_ZOOM = 50    # line-search zoom steps
+NEWTON_MU = 1e-5  # regularization mu I of the Newton matrix
+DENSE_SOLVE_MAX_N = 2000  # above this n, the Newton system is solved by CG
 CG_TOL = 1e-9    # relative residual of the CG Newton solve
 
 
@@ -72,14 +74,12 @@ class SubproblemSpec:
 @dataclass
 class PdsnConfig:
     eps_ppa_floor: float = 1e-8
-    newton_mu: float = 1e-5  # regularization mu I of the Newton matrix
     max_ppa_iters: int = 100
     max_newton_iters: int = 100
-    dense_solve_max_n: int = 2000  # above this, use Jacobi-preconditioned CG
 
     def __post_init__(self):
-        if self.eps_ppa_floor <= 0 or self.newton_mu <= 0:
-            raise ValueError("tolerances and mu must be positive")
+        if self.eps_ppa_floor <= 0:
+            raise ValueError("eps_ppa_floor must be positive")
         if self.max_ppa_iters < 1 or self.max_newton_iters < 1:
             raise ValueError("iteration caps must be >= 1")
 
@@ -90,7 +90,6 @@ class PdsnState:
     z: np.ndarray
     u: np.ndarray
     err_ppa: float
-    trace: list = field(default_factory=list)
 
 
 def kkt_residual(problem, beta, z, u, weights):
@@ -111,7 +110,9 @@ def kkt_residual(problem, beta, z, u, weights):
 
 
 class _DualWork:
-    """Dual pieces of one PPA step: anchors (beta^j, z^j) and gammas fixed."""
+    """Dual workspace of one PPA solve: the data, the current PPA step's
+    anchors (beta^j, z^j) and gammas (see anchor), buffers, and the Newton
+    matrix state that newton_direction keeps across Newton and PPA steps."""
 
     def __init__(self, spec, beta_anchor, gamma1, gamma2):
         pr = spec.problem
@@ -120,6 +121,20 @@ class _DualWork:
         self.n, self.p = pr.n, pr.p
         self.tau = pr.tau
         self.omega = spec.weights
+        # the prox arguments and images at the last evaluated point (see
+        # value), and scratch buffers
+        self.q1, self.pb, self._cb = (np.empty(self.p) for _ in range(3))
+        self.q2, self.pz, self._cz = (np.empty(self.n) for _ in range(3))
+        self._le = np.empty(self.n, dtype=bool)
+        # Newton matrix: the active mask J of the last dense solve, the
+        # unscaled active Gram W0 = X_J X_J^T, the buffer of the scaled
+        # matrix W and the count of columns updated since W0 was built
+        self.mask = self.W0 = self.W = None
+        self.updates = 0
+        self.anchor(beta_anchor, gamma1, gamma2)
+
+    def anchor(self, beta_anchor, gamma1, gamma2):
+        """Start a PPA step at beta^j = beta_anchor, z^j = y - X beta^j."""
         self.bj = np.asarray(beta_anchor, dtype=float)
         self.zj = self.y - self.X @ self.bj
         self.g1 = float(gamma1)
@@ -128,11 +143,6 @@ class _DualWork:
         self.lo2 = (self.tau - 1.0) / (self.n * self.g2)
         self.thr1 = self.omega / self.g1
         self.neg_thr1 = -self.thr1
-        # the prox arguments and images at the last evaluated point (see
-        # value), and scratch buffers
-        self.q1, self.pb, self._cb = (np.empty(self.p) for _ in range(3))
-        self.q2, self.pz, self._cz = (np.empty(self.n) for _ in range(3))
-        self._le = np.empty(self.n, dtype=bool)
 
     def value(self, u, Xtu):
         """Psi(u), leaving the prox arguments q1 = beta^j - X^T u/g1,
@@ -197,36 +207,25 @@ class _DualWork:
         self.value(u, Xtu)
         return self.gradient_here()
 
-    def active_gram(self, mask, cache):
-        """X_J X_J^T over the active columns, from the cheaper side; the full
-        Gram X X^T that the complement side needs is built on first use and
-        kept in ``cache``."""
-        n_active = int(mask.sum())
-        if self.p - n_active < n_active:
-            if "gram" not in cache:
-                cache["gram"] = self.X @ self.X.T
-            gram = cache["gram"]
-            Xc = self.X[:, ~mask]
-            return gram - Xc @ Xc.T if Xc.shape[1] else gram.copy()
-        if n_active:
-            Xa = self.X[:, mask]
-            return Xa @ Xa.T
-        return np.zeros((self.n, self.n))
+    def active_gram(self, mask):
+        """X_J X_J^T over the active columns J = mask."""
+        Xa = self.X[:, mask]
+        return Xa @ Xa.T
 
-    def newton_matrix_solve(self, q1, q2, rhs, cfg, cache=None):
+    def newton_direction(self, rhs):
         """Solve (gamma2^{-1} U + gamma1^{-1} X V X^T + mu I) d = rhs.
 
-        U, V are 0/1 diagonal Clarke elements at the current prox arguments
-        and mu = cfg.newton_mu. The unscaled active Gram X_J X_J^T is kept in
-        ``cache`` across calls and rank-updated when the active set changes
-        by a few columns; the scaled matrix W is assembled in a buffer kept
-        there too.
+        U, V are 0/1 diagonal Clarke elements at the prox arguments q1, q2
+        that value left, and mu = NEWTON_MU. The dense path keeps W0 =
+        X_J X_J^T across calls and rank-updates it when the active set J
+        changes by a few columns, rebuilding it after many; it assembles the
+        scaled matrix in the buffer W.
         """
-        udiag = clarke_jacobian_check_loss_prox(q2, self.g2, self.tau, self.n)
-        vdiag = clarke_jacobian_weighted_l1_prox(q1, self.omega, self.g1)
-        dvec = udiag / self.g2 + cfg.newton_mu
+        udiag = clarke_jacobian_check_loss_prox(self.q2, self.g2, self.tau, self.n)
+        vdiag = clarke_jacobian_weighted_l1_prox(self.q1, self.omega, self.g1)
+        dvec = udiag / self.g2 + NEWTON_MU
         mask = vdiag > 0.0
-        if self.n > cfg.dense_solve_max_n:
+        if self.n > DENSE_SOLVE_MAX_N:
             from scipy.sparse.linalg import LinearOperator, cg  # deferred: a slow import
 
             Xa = self.X[:, mask]
@@ -241,33 +240,29 @@ class _DualWork:
             if info != 0:
                 raise SolverError("conjugate gradient failed on the Newton system")
             return sol
-        cache = {} if cache is None else cache
-        if cache.get("mask") is None:
-            W0 = self.active_gram(mask, cache)
+        if self.mask is None:
+            self.W0 = self.active_gram(mask)
+            self.W = np.empty_like(self.W0)
         else:
-            W0 = cache["W0"]
-            changed = mask ^ cache["mask"]
+            changed = mask ^ self.mask
             n_changed = int(changed.sum())
             if n_changed:
                 # refresh periodically to limit rank-update rounding drift
-                cache["updates"] = cache.get("updates", 0) + n_changed
-                if n_changed > max(16, self.n // 4) or cache["updates"] > 8 * self.n:
-                    W0 = self.active_gram(mask, cache)
-                    cache["updates"] = 0
+                self.updates += n_changed
+                if n_changed > max(16, self.n // 4) or self.updates > 8 * self.n:
+                    self.W0 = self.active_gram(mask)
+                    self.updates = 0
                 else:
                     added = changed & mask
                     removed = changed & ~mask
                     if added.any():
                         Xa = self.X[:, added]
-                        W0 += Xa @ Xa.T
+                        self.W0 += Xa @ Xa.T
                     if removed.any():
                         Xr = self.X[:, removed]
-                        W0 -= Xr @ Xr.T
-        cache["mask"] = mask
-        cache["W0"] = W0
-        if "W" not in cache:
-            cache["W"] = np.empty_like(W0)
-        W = np.divide(W0, self.g1, out=cache["W"])
+                        self.W0 -= Xr @ Xr.T
+        self.mask = mask
+        W = np.divide(self.W0, self.g1, out=self.W)
         W.flat[:: self.n + 1] += dvec
         return np.linalg.solve(W, rhs)
 
@@ -335,26 +330,23 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
     return best_a, best_psi, evals, False
 
 
-def _newton_solve(work, u0, tol, cfg, cache=None):
+def _newton_solve(work, u0, tol, cfg):
     """Semismooth Newton on Phi(u) = 0; returns (u, info dict)."""
     u = np.asarray(u0, dtype=float).copy()
     Xtu = work.X.T @ u
     ynorm1 = 1.0 + np.linalg.norm(work.y)
     warn = []
-    psi_trace = []
     psi = work.value(u, Xtu)
     phi, pb = work.gradient_here()
     iters = 0
-    cache = {} if cache is None else cache
     for iters in range(cfg.max_newton_iters):
         res = np.linalg.norm(phi) / ynorm1
         if res <= tol:
             break
         # work holds the prox arguments and images at u
-        d = work.newton_matrix_solve(work.q1, work.q2, -phi, cfg, cache)
+        d = work.newton_direction(-phi)
         Xtd = work.X.T @ d
         dpsi0 = work.dir_deriv(d, Xtd)
-        psi_trace.append(psi)
         if dpsi0 >= 0.0:  # numerically flat; nothing left to gain
             break
         alpha, psi_a, _, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi, dpsi0)
@@ -373,14 +365,7 @@ def _newton_solve(work, u0, tol, cfg, cache=None):
         iters = cfg.max_newton_iters
         warn.append("newton iteration cap reached")
     res = np.linalg.norm(phi) / ynorm1
-    psi_trace.append(psi)
-    return u, {
-        "iters": iters,
-        "phi_rel": float(res),
-        "beta_image": pb,
-        "warnings": warn,
-        "psi_trace": psi_trace,
-    }
+    return u, {"iters": iters, "phi_rel": float(res), "beta_image": pb, "warnings": warn}
 
 
 def ppa_solve(spec, cfg=None, u0=None):
@@ -411,13 +396,11 @@ def ppa_solve(spec, cfg=None, u0=None):
     converged = err <= min(eps, cfg.eps_ppa_floor)
     ppa_iters = 0
     last_phi_rel = float("nan")
-    cache = {}  # Newton-matrix state shared by the PPA steps
     cur_obj = spec.objective(beta)
-    trace = [cur_obj]
     stalls = 0
+    work = _DualWork(spec, beta, gamma, gamma)
     while not converged and ppa_iters < cfg.max_ppa_iters:
-        work = _DualWork(spec, beta, gamma, gamma)
-        u_psi, info = _newton_solve(work, u_psi, NEWTON_TOL_FACTOR * eps, cfg, cache)
+        u_psi, info = _newton_solve(work, u_psi, NEWTON_TOL_FACTOR * eps, cfg)
         total_newton += info["iters"]
         last_phi_rel = info["phi_rel"]
         warnings.extend(info["warnings"])
@@ -441,13 +424,13 @@ def ppa_solve(spec, cfg=None, u0=None):
         z = y - X @ beta
         u_kkt = -u_psi
         err = kkt_residual(pr, beta, z, u_kkt, spec.weights)
-        trace.append(cur_obj)
         if err <= eps:
             converged = True
             break
         eps = max(cfg.eps_ppa_floor, 0.1 * eps)
         gamma = max(GAMMA_FLOOR, SHRINK * gamma)
-    state = PdsnState(beta=beta, z=z, u=u_kkt, err_ppa=err, trace=trace)
+        work.anchor(beta, gamma, gamma)
+    state = PdsnState(beta=beta, z=z, u=u_kkt, err_ppa=err)
     report = SolverReport(
         converged=bool(converged),
         iterations=ppa_iters,

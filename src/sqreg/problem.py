@@ -67,9 +67,6 @@ class QuantileProblem:
         """Same data at a different quantile level."""
         return replace(self, tau=float(tau))
 
-    def residual(self, beta):
-        return self.response - self.design @ beta
-
 
 class MatrixNorms:
     """Element-wise max norm ``max_abs``, maximum column sum norm ``col_sum``

@@ -16,26 +16,12 @@ class SolverReport:
     solver: str = ""
     inner_iterations: int = 0
     warnings: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.wall_ms < 0:
             raise ValueError("wall_ms must be nonnegative")
         if any(v < 0 for v in self.residuals.values()):
             raise ValueError("residual measures must be nonnegative")
-
-    def to_dict(self):
-        return {
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "objective": float(self.objective),
-            "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
-            "wall_ms": float(self.wall_ms),
-            "solver": self.solver,
-            "inner_iterations": int(self.inner_iterations),
-            "warnings": list(self.warnings),
-            "extras": {k: float(v) for k, v in sorted(self.extras.items())},
-        }
 
 
 @dataclass

@@ -11,6 +11,7 @@ from sqreg import (
     ppa_solve,
     prox_check_loss,
 )
+from sqreg import admm
 from sqreg.admm import admm_beta_update, admm_z_update, dual_box_value
 
 from conftest import make_problem, make_subproblem
@@ -99,28 +100,44 @@ def test_admm_matches_pdsn(rng):
 
 def test_admm_gap_decreases_small_instance():
     spec, _ = make_subproblem(8, 25, 10, lam=0.3)
-    state, report = admm_solve(spec, AdmmConfig(j_max=3000, record_trace=True))
-    gaps = [t[4] for t in state.trace]
-    assert min(gaps) <= 1e-6
+    state, report = admm_solve(spec, AdmmConfig(j_max=3000))
+    assert report.converged and state.eps_gap <= 1e-6
 
 
 def test_weak_duality_along_iterates():
     spec, _ = make_subproblem(9, 20, 8, lam=0.2)
-    cfg = AdmmConfig(j_max=400, record_trace=True)
+    cfg = AdmmConfig(j_max=400)
     state, report = admm_solve(spec, cfg)
-    # rerun manually to check the feasible dual value at a few iterates
+    # the feasible dual value at a few multipliers lower-bounds the primal
     for u in (np.zeros(20), state.u, -state.u):
         lower = dual_box_value(u, spec)
-        assert lower <= report.extras["w_prim"] + 1e-8
+        assert lower <= report.objective + 1e-8
 
 
-def test_primal_feasibility_trend():
+def _recording_z_update(monkeypatch):
+    """Calls of admm_z_update inside admm_solve (one per iteration) as
+    (sigma, X beta + z - y), recorded in the returned list."""
+    calls = []
+
+    def recording(Xb_new, u, spec, sigma):
+        z = admm_z_update(Xb_new, u, spec, sigma)
+        calls.append((sigma, Xb_new + z - spec.problem.response))
+        return z
+
+    monkeypatch.setattr(admm, "admm_z_update", recording)
+    return calls
+
+
+def test_primal_feasibility_trend(monkeypatch):
     # windowed monotone trend (not per-step): most 100-iteration window means
     # decrease and the overall level drops by orders of magnitude
+    calls = _recording_z_update(monkeypatch)
     for seed in (8, 20):
         spec, _ = make_subproblem(seed, 25 if seed == 8 else 50, 10, lam=0.3)
-        state, report = admm_solve(spec, AdmmConfig(j_max=5000, record_trace=True))
-        pinf = np.array([t[2] for t in state.trace])
+        calls.clear()
+        state, report = admm_solve(spec, AdmmConfig(j_max=5000))
+        ynorm1 = 1.0 + np.linalg.norm(spec.problem.response)
+        pinf = np.array([np.linalg.norm(r) / ynorm1 for _, r in calls])
         w = 100
         means = [pinf[i : i + w].mean() for i in range(0, len(pinf) - w + 1, w)]
         dec = sum(means[i + 1] <= means[i] * 1.05 for i in range(len(means) - 1))
@@ -154,7 +171,7 @@ def test_zeta_zero_at_fixed_point():
 def _admm_solve_reference(spec, cfg, z0=None, u0=None):
     """The admm_solve loop that computed the duality gap on every iteration,
     kept as the oracle of the loop that computes it only when it can stop
-    the loop, at the cap and for the trace."""
+    the loop and at the cap."""
     from sqreg.admm import (ADAPT_EVERY, ADAPT_FACTOR, ADAPT_HIGH, ADAPT_LOW, STEP,
                             AdmmState, _box_multiplier, _split_objective)
     from sqreg.report import SolverReport
@@ -171,7 +188,6 @@ def _admm_solve_reference(spec, cfg, z0=None, u0=None):
     ynorm1 = 1.0 + np.linalg.norm(y)
     eps_pinf = eps_dinf = eps_gap = np.inf
     converged = False
-    trace = []
     j = 0
     Xb = X @ beta
     dinf_scale = (1.0 / STEP - 1.0) ** 2
@@ -196,8 +212,6 @@ def _admm_solve_reference(spec, cfg, z0=None, u0=None):
         w_dual_min = -float(_box_multiplier(u, pr.tau, n) @ y)
         gap_sum = w_prim + w_dual_min
         eps_gap = float(abs(gap_sum) / max(1.0, 0.5 * gap_sum))
-        if cfg.record_trace:
-            trace.append((w_prim, -w_dual_min, eps_pinf, eps_dinf, eps_gap))
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.eps_admm:
             converged = True
             break
@@ -219,10 +233,7 @@ def _admm_solve_reference(spec, cfg, z0=None, u0=None):
         residuals={"eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap},
         wall_ms=0.0, solver="admm", inner_iterations=j,
         warnings=[] if converged else ["iteration cap reached"],
-        extras={"w_prim": w_prim, "w_dual": -w_dual_min},
     )
-    if cfg.record_trace:
-        state.trace = trace
     return state, report
 
 
@@ -237,28 +248,28 @@ def _as_hex(obj):
     return obj
 
 
-def _sigma_moves(state):
-    """(raises, cuts) of sigma read from a traced run's checkpoints."""
-    checks = [state.trace[j - 1] for j in range(50, len(state.trace) + 1, 50)]
-    ratios = [t[2] / t[3] for t in checks if t[3] > 0]
-    return sum(r > 10.0 for r in ratios), sum(r < 0.1 for r in ratios)
+def _sigma_moves(calls):
+    """(raises, cuts) of sigma between consecutive admm_z_update calls."""
+    sigmas = [sigma for sigma, _ in calls]
+    pairs = list(zip(sigmas, sigmas[1:]))
+    return sum(b > a for a, b in pairs), sum(b < a for a, b in pairs)
 
 
-def test_admm_loop_matches_reference_loop():
+def test_admm_loop_matches_reference_loop(monkeypatch):
     converging, _ = make_subproblem(8, 25, 10, lam=0.3)
     adapting, _ = make_subproblem(14, 20, 8, lam=0.2)  # sigma is raised once and cut 7 times
     warm, _ = admm_solve(converging, AdmmConfig(j_max=100))
     cases = [
         (converging, AdmmConfig(), None, None),
-        (converging, AdmmConfig(record_trace=True), None, None),
         (converging, AdmmConfig(), warm.z, warm.u),
         (adapting, AdmmConfig(j_max=600), None, None),
-        (adapting, AdmmConfig(j_max=600, record_trace=True), None, None),
         (adapting, AdmmConfig(j_max=600, tail_average=50), None, None),
-        (adapting, AdmmConfig(j_max=600, tail_average=50, record_trace=True, sigma_adapt=False), None, None),
+        (adapting, AdmmConfig(j_max=600, tail_average=50, sigma_adapt=False), None, None),
     ]
+    calls = _recording_z_update(monkeypatch)
     outcomes = []
     for spec, cfg, z0, u0 in cases:
+        calls.clear()
         state, report = admm_solve(spec, cfg, z0=z0, u0=u0)
         ref_state, ref_report = _admm_solve_reference(spec, cfg, z0=z0, u0=u0)
         assert _as_hex(vars(state)) == _as_hex(vars(ref_state))
@@ -266,8 +277,8 @@ def test_admm_loop_matches_reference_loop():
         got.pop("wall_ms"), want.pop("wall_ms")
         assert _as_hex(got) == _as_hex(want)
         outcomes.append((report.converged, report.iterations))
-        if cfg.record_trace and spec is adapting and cfg.sigma_adapt:
-            assert _sigma_moves(state) == (1, 7)
+        if spec is adapting and cfg.sigma_adapt:
+            assert _sigma_moves(calls) == (1, 7)
     # the cases cover convergence before the cap (cold and warm) and the cap
-    assert outcomes[0][0] and outcomes[0][1] < 3000 and outcomes[2][0]
-    assert not any(c for c, _ in outcomes[3:])
+    assert outcomes[0][0] and outcomes[0][1] < 3000 and outcomes[1][0]
+    assert not any(c for c, _ in outcomes[2:])

@@ -243,15 +243,31 @@ def test_bench_deterministic(tmp_path):
 
 def test_usage_error_exit_code(tmp_path, capsys):
     # exit code 2 is reserved for non-convergence; usage errors are input errors
-    # removed flags are errors, also where they prefix a kept flag (--solver/--solvers)
+    # removed flags are errors, also where they prefix a kept flag (--solver/--solvers);
+    # so are values no command can run with, whether argparse or the command
+    # rejects them
+    data = write_small_csv(tmp_path)
     for argv in (["fit", "x.csv", "--bogus"], ["fit", "x.csv", "--threads", "2"],
                  ["lambda-sweep", "--threads", "1"], ["lambda-sweep", "--solver", "pdsn"],
                  ["tau-sweep", "--tau", "0.3"], ["tau-sweep", "--solver", "admm"],
-                 ["tau-sweep", "--surrogate", "mcp"], ["tau-sweep", "--a", "4.0"]):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 1
-        assert "error:" in capsys.readouterr().err
+                 ["tau-sweep", "--surrogate", "mcp"], ["tau-sweep", "--a", "4.0"],
+                 ["fit", data, "--lambda", "0"], ["fit", data, "--nu", "0"],
+                 ["fit", data, "--lambda", "nan"], ["fit", data, "--nu", "inf"],
+                 ["bench", "--nu", "0", "--reps", "2", "--threads", "1"],
+                 ["tau-sweep", "--tau-step", "0"], ["tau-sweep", "--tau-step", "-0.05"],
+                 ["tau-sweep", "--tau-min", "0.9", "--tau-max", "0.1"],
+                 ["tau-sweep", "--tau-min", "0.95", "--tau-max", "1"],
+                 ["tau-sweep", "--reps", "0"], ["bench", "--reps", "0"],
+                 ["tau-sweep", "--threads", "-1"], ["bench", "--threads", "-1"],
+                 ["lambda-sweep", "--solvers", ","]):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1, argv
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        assert "Traceback" not in err
     with pytest.raises(SystemExit) as exc:
         run(["fit", "--help"])
     assert exc.value.code == 0

@@ -26,6 +26,10 @@ def test_config_validation():
         MscraConfig(lam=0.1, nu=10.0)
     with pytest.raises(ValueError):
         MscraConfig()
+    for kwargs in ({"lam": 0.0}, {"nu": 0.0}, {"lam": -1.0}, {"nu": -2.0},
+                   {"lam": float("nan")}, {"nu": float("inf")}):
+        with pytest.raises(ValueError, match="must be positive"):
+            MscraConfig(**kwargs)
     cfg = MscraConfig(nu=4.0)
     assert cfg.lam == pytest.approx(0.25)
 

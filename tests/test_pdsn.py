@@ -138,7 +138,7 @@ def test_newton_matrix_structure(rng):
     assert np.linalg.eigvalsh(W).min() >= 1e-5 - 1e-12
     # dense reference vs structured assembly used by the solver
     rhs = rng.standard_normal(8)
-    d = work.newton_matrix_solve(q1, q2, rhs, PdsnConfig(newton_mu=1e-5))
+    d = work.newton_direction(rhs)
     assert np.allclose(W @ d, rhs, atol=1e-8)
 
 
@@ -147,15 +147,44 @@ def test_newton_matrix_empty_active_set():
     spec = SubproblemSpec(problem=pr, weights=np.full(3, 1e3))
     work = make_work(spec, gamma1=1.0, gamma2=1.0)
     work.value(np.zeros(3), np.zeros(3))
-    q1, q2 = work.q1, work.q2
     rhs = np.array([1.0, -2.0, 3.0])
     # V = 0 (huge weights), U = I (large residuals): W = (1/g2 + mu) I
-    d = work.newton_matrix_solve(q1, q2, rhs, PdsnConfig(newton_mu=1e-5))
+    d = work.newton_direction(rhs)
     assert np.allclose(d, rhs / (1.0 + 1e-5))
 
 
-def test_newton_fast_on_smooth_instance():
+def test_newton_matrix_rank_update(monkeypatch):
+    # the unscaled active Gram W0 that one PPA solve keeps across its Newton
+    # and PPA steps equals a fresh X_J X_J^T after every direction; a step
+    # whose active set J is unchanged leaves it untouched, and a step that
+    # changes a few columns updates it in place
+    seen = {"kept": 0, "updated": 0}
+    newton_direction = _DualWork.newton_direction
+
+    def checked(work, rhs):
+        mask, held = work.mask, work.W0
+        before = None if held is None else held.copy()
+        d = newton_direction(work, rhs)
+        Xa = work.X[:, work.mask]
+        fresh = Xa @ Xa.T
+        assert np.linalg.norm(work.W0 - fresh) <= 1e-10 * np.linalg.norm(fresh)
+        if mask is not None and np.array_equal(mask, work.mask):
+            assert work.W0 is held and np.array_equal(work.W0, before)
+            seen["kept"] += 1
+        elif mask is not None and work.W0 is held:
+            seen["updated"] += 1
+        return d
+
+    monkeypatch.setattr(_DualWork, "newton_direction", checked)
+    for seed in (3, 7):
+        spec, _ = make_subproblem(seed, 30, 60, lam=0.05)
+        ppa_solve(spec)
+    assert seen["kept"] >= 1 and seen["updated"] >= 1, seen
+
+
+def test_newton_fast_on_smooth_instance(monkeypatch):
     # all prox arguments far from kinks: Phi is affine, Newton needs ~1 step
+    monkeypatch.setattr(pdsn, "NEWTON_MU", 1e-12)
     rng = np.random.default_rng(5)
     n, p = 6, 4
     X = rng.standard_normal((n, p))
@@ -163,7 +192,7 @@ def test_newton_fast_on_smooth_instance():
     pr = QuantileProblem(X, y, tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.full(p, 1e-4))
     work = make_work(spec, gamma1=1.0, gamma2=1.0)
-    u, info = _newton_solve(work, np.zeros(n), 1e-9, PdsnConfig(newton_mu=1e-12))
+    u, info = _newton_solve(work, np.zeros(n), 1e-9, PdsnConfig())
     assert info["iters"] <= 3
     assert np.linalg.norm(phi(work, u)) / (1 + np.linalg.norm(y)) <= 1e-9
 
@@ -184,14 +213,26 @@ def test_newton_residual_and_gap(rng):
     assert abs(gap) <= 1e-7
 
 
-def test_newton_monotone_psi(rng):
-    # Psi decreases along the recorded trace on many seeded instances
+def test_newton_monotone_psi(monkeypatch):
+    # Psi decreases on every Newton step of many seeded instances: each line
+    # search starts where the last one ended and returns a lower value
+    psis = []
+
+    def recording(work, u, Xtu, d, Xtd, psi0, dpsi0):
+        alpha, psi_a, evals, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0)
+        psis.extend((psi0, psi_a))
+        return alpha, psi_a, evals, ok
+
+    monkeypatch.setattr(pdsn, "_strong_wolfe", recording)
+    steps = 0
     for seed in range(20):
         spec, _ = make_subproblem(100 + seed, 10, 20, lam=0.1)
         work = _DualWork(spec, np.zeros(20), 0.05, 0.05)
-        _, info = _newton_solve(work, np.zeros(10), 1e-9, PdsnConfig())
-        tr = info["psi_trace"]
-        assert all(tr[i + 1] <= tr[i] + 1e-10 for i in range(len(tr) - 1))
+        psis.clear()
+        _newton_solve(work, np.zeros(10), 1e-9, PdsnConfig())
+        assert all(psis[i + 1] <= psis[i] + 1e-10 for i in range(len(psis) - 1))
+        steps += len(psis) // 2
+    assert steps >= 20
 
 
 def test_ppa_interpolating_fit():
@@ -227,10 +268,19 @@ def test_ppa_larger_instance_lp_oracle():
     assert state.err_ppa <= 1e-8
 
 
-def test_ppa_objective_monotone_trace():
+def test_ppa_objective_monotone_trace(monkeypatch):
+    # the KKT residual is measured at the start and at every accepted PPA
+    # iterate: the objective there never increases
     spec, _ = make_subproblem(31, 30, 60, lam=0.1)
+    tr = []
+
+    def recording(problem, beta, z, u, weights):
+        tr.append(spec.objective(beta))
+        return kkt_residual(problem, beta, z, u, weights)
+
+    monkeypatch.setattr(pdsn, "kkt_residual", recording)
     state, report = ppa_solve(spec)
-    tr = state.trace
+    assert len(tr) >= 3
     assert all(tr[i + 1] <= tr[i] + 1e-9 for i in range(len(tr) - 1))
 
 
@@ -275,11 +325,12 @@ def test_kkt_residual_zero_at_random_kkt_triples(n, tau, seed):
     assert kkt_residual(pr, beta, z + e, u, weights) > 1e-6
 
 
-def test_cg_branch_matches_dense():
+def test_cg_branch_matches_dense(monkeypatch):
     # lowering the dense threshold forces the Jacobi-preconditioned CG path
     spec, _ = make_subproblem(42, 30, 60, lam=0.1)
-    s_cg, r_cg = ppa_solve(spec, PdsnConfig(dense_solve_max_n=10))
-    s_dn, r_dn = ppa_solve(spec, PdsnConfig())
+    s_dn, r_dn = ppa_solve(spec)
+    monkeypatch.setattr(pdsn, "DENSE_SOLVE_MAX_N", 10)
+    s_cg, r_cg = ppa_solve(spec)
     assert abs(r_cg.objective - r_dn.objective) <= 1e-7
     assert s_cg.err_ppa <= 1e-8
 
@@ -301,7 +352,7 @@ def test_ppa_reports_nonconvergence_gracefully():
     assert report.objective < spec.objective(np.zeros(80)) + 1e-9
 
 
-def _newton_solve_reference(work, u0, tol, cfg, cache):
+def _newton_solve_reference(work, u0, tol, cfg):
     """The _newton_solve loop that rebuilt Phi and the prox images after every
     step and evaluated Psi again at alpha = 0, kept as the oracle of the loop
     that takes them from the line search's last evaluation."""
@@ -315,16 +366,16 @@ def _newton_solve_reference(work, u0, tol, cfg, cache):
     u = np.asarray(u0, dtype=float).copy()
     Xtu = work.X.T @ u
     ynorm1 = 1.0 + np.linalg.norm(work.y)
-    warn, psi_trace = [], []
+    warn = []
     phi, pb, q1, q2 = gradient(u, Xtu)
     iters = 0
     for iters in range(cfg.max_newton_iters):
         if np.linalg.norm(phi) / ynorm1 <= tol:
             break
-        d = work.newton_matrix_solve(q1, q2, -phi, cfg, cache)
+        work.q1[:], work.q2[:] = q1, q2  # the Newton matrix at u
+        d = work.newton_direction(-phi)
         Xtd = work.X.T @ d
         psi0, dpsi0 = _value_dir_deriv_fresh(work, u, Xtu, d, Xtd)
-        psi_trace.append(psi0)
         if dpsi0 >= 0.0:
             break
         alpha, _, _, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0)
@@ -339,19 +390,18 @@ def _newton_solve_reference(work, u0, tol, cfg, cache):
     else:
         iters = cfg.max_newton_iters
         warn.append("newton iteration cap reached")
-    psi_trace.append(_value_dir_deriv_fresh(work, u, Xtu, np.zeros_like(u), np.zeros_like(Xtu))[0])
     return u, {"iters": iters, "phi_rel": float(np.linalg.norm(phi) / ynorm1),
-               "beta_image": pb, "warnings": warn, "psi_trace": psi_trace}
+               "beta_image": pb, "warnings": warn}
 
 
 def test_newton_solve_matches_reference_loop(rng, monkeypatch):
     # every _newton_solve call of whole PPA solves, replayed against the
-    # oracle from the same arguments and Newton-matrix cache
+    # oracle from the same arguments and workspace (anchors, Newton matrix)
     calls = []
 
-    def recording(work, u0, tol, cfg, cache=None):
-        calls.append((work, np.array(u0), tol, cfg, copy.deepcopy(cache)))
-        return _newton_solve(work, u0, tol, cfg, cache)
+    def recording(work, u0, tol, cfg):
+        calls.append((copy.deepcopy(work), np.array(u0), tol, cfg))
+        return _newton_solve(work, u0, tol, cfg)
 
     monkeypatch.setattr(pdsn, "_newton_solve", recording)
     anchored, _ = make_subproblem(7, 30, 60, lam=0.05)
@@ -366,12 +416,12 @@ def test_newton_solve_matches_reference_loop(rng, monkeypatch):
     for spec, cfg in runs:
         ppa_solve(spec, cfg)
     warnings = []
-    for work, u0, tol, cfg, cache in calls:
-        u, info = _newton_solve(work, u0, tol, cfg, copy.deepcopy(cache))
-        u_ref, ref = _newton_solve_reference(work, u0, tol, cfg, copy.deepcopy(cache))
+    for work, u0, tol, cfg in calls:
+        u, info = _newton_solve(copy.deepcopy(work), u0, tol, cfg)
+        u_ref, ref = _newton_solve_reference(copy.deepcopy(work), u0, tol, cfg)
         # beta_image too: the sign of its zeros is prox_weighted_l1's
         for got, want in ((u, u_ref), (info["beta_image"], ref["beta_image"]),
-                          (info["psi_trace"], ref["psi_trace"]), ([info["phi_rel"]], [ref["phi_rel"]])):
+                          ([info["phi_rel"]], [ref["phi_rel"]])):
             assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
         assert (info["iters"], info["warnings"]) == (ref["iters"], ref["warnings"])
         warnings += info["warnings"]

@@ -28,7 +28,7 @@ from .prox import (
     prox_check_loss,
     prox_weighted_l1,
 )
-from .report import BenchRun, SolverReport
+from .report import SolverReport
 from .surrogate import SurrogateFamily, capped_l1, from_name, mcp, scad
 
 __version__ = "0.1.0"

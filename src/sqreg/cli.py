@@ -18,12 +18,15 @@ import time
 import numpy as np
 
 from .admm import admm_solve
-from .datagen import HETERO_MAIN, SyntheticSpec, generate, selection_metrics
+from .datagen import BETA_PATTERNS, HETERO_MAIN, SyntheticSpec, generate, selection_metrics
 from .mscra import MscraConfig, StageFailure, lambda_grid, mscra_fit
 from .pdsn import SolverError, SubproblemSpec, ppa_solve
 from .problem import load_csv, nonzero_count, standardize, support_mask
-from .report import BenchRun
 from .surrogate import KINDS, from_name
+
+
+class _UsageError(Exception):
+    """A usage error the parser has reported; ``main`` returns 1 for it."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,24 +40,27 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError
 
 
-def _checked(kind, ok, what):
-    """argparse type: ``kind(text)``, a usage error unless it is ``what``."""
+def _checked(kind, ok, rule):
+    """argparse type: ``kind(text)``, a usage error stating ``rule`` unless
+    ``ok`` accepts it."""
     def parse(text):
         value = kind(text)
         if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
 
 
-_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
-_WORKERS = _checked(int, lambda v: v >= 0, ">= 0")
-_STEP = _checked(float, lambda v: v > 0, "> 0")
+_COUNT = _checked(int, lambda v: v >= 1, "must be >= 1")
+_WORKERS = _checked(int, lambda v: v >= 0, "must be >= 0")
+_STEP = _checked(float, lambda v: v > 0, "must be > 0")
+_TAU = _checked(float, lambda v: 0.0 < v < 1.0, "tau must be in (0,1)")
 
 
 def _write(text, out):
@@ -72,7 +78,7 @@ def _json_dumps(obj):
 def _add_common(sub, tau=True, lam=False, model=False, threads=False):
     """Add the shared flags a command honours; --seed and --out always."""
     if tau:
-        sub.add_argument("--tau", type=float, default=0.5)
+        sub.add_argument("--tau", type=_TAU, default=0.5)
     if lam:
         group = sub.add_mutually_exclusive_group()
         group.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -87,20 +93,29 @@ def _add_common(sub, tau=True, lam=False, model=False, threads=False):
     sub.add_argument("--out", default=None)
 
 
-def _model(args):
-    """The --solver/--surrogate/--a choice, as a picklable dict for pool workers."""
-    return {"solver": args.solver, "surrogate": args.surrogate, "a": args.a}
+def _add_dataset(sub, n=None, p=None, pattern="fixed16", cov="identity", noise="normal", snr=None):
+    """Add the synthetic-dataset flags with this command's defaults; --n and
+    --p are required where they have none."""
+    sub.add_argument("--n", type=int, default=n, required=n is None)
+    sub.add_argument("--p", type=int, default=p, required=p is None)
+    sub.add_argument("--pattern", choices=BETA_PATTERNS, default=pattern)
+    sub.add_argument("--cov", default=cov)
+    sub.add_argument("--noise", default=noise)
+    sub.add_argument("--noise-var", type=float, default=1.0)
+    sub.add_argument("--snr", type=float, default=snr)
 
 
-def _mscra_config(tau, lam, model, nu=None):
-    return MscraConfig(tau=tau, lam=lam, nu=nu, solver=model["solver"],
-                       surrogate=from_name(model["surrogate"], model["a"]))
+def _mscra_config(args, lam):
+    """The --tau, --nu and model flags as a fit configuration at penalty ``lam``."""
+    return MscraConfig(tau=args.tau, lam=lam, nu=args.nu, solver=args.solver,
+                       surrogate=from_name(args.surrogate, args.a))
 
 
-def _synthetic_spec(args):
+def _synthetic_spec(args, seed):
+    """The dataset flags as the spec of the dataset drawn with ``seed``."""
     return SyntheticSpec(
         n=args.n, p=args.p, beta_pattern=args.pattern, covariance=args.cov,
-        noise=args.noise, noise_var=args.noise_var, snr=args.snr, seed=args.seed,
+        noise=args.noise, noise_var=args.noise_var, snr=args.snr, seed=seed,
     )
 
 
@@ -113,7 +128,7 @@ def cmd_fit(args):
     if lam is None and args.nu is None:
         # default penalty level lambda = max(0.01, 0.1 ||X||_1 / n)
         lam = float(lambda_grid(problem, 0.1, 0.1, 1)[0])
-    cfg = _mscra_config(args.tau, lam, _model(args), nu=args.nu)
+    cfg = _mscra_config(args, lam)
     t0 = time.perf_counter()
     final, history = mscra_fit(problem, cfg)
     wall = (time.perf_counter() - t0) * 1e3
@@ -135,7 +150,7 @@ def cmd_fit(args):
 
 
 def cmd_datagen(args):
-    spec = _synthetic_spec(args)
+    spec = _synthetic_spec(args, args.seed)
     ds = generate(spec)
     X, y = ds.problem.design, ds.problem.response
     out = args.out or "data"
@@ -167,7 +182,7 @@ def cmd_lambda_sweep(args):
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not solvers or not set(solvers) <= {"pdsn", "admm"}:
         raise ValueError("--solvers takes a comma-separated subset of pdsn,admm")
-    ds = generate(_synthetic_spec(args))
+    ds = generate(_synthetic_spec(args, args.seed))
     problem = ds.problem.with_tau(args.tau)
     lams = lambda_grid(problem, args.gamma_min, args.gamma_max, args.count)
     rows = []
@@ -182,33 +197,48 @@ def cmd_lambda_sweep(args):
     return 0
 
 
-def _tau_sweep_one(payload):
-    args_dict, tau, seed = payload
-    spec = SyntheticSpec(**args_dict, seed=seed)
+def _fit_job(job):
+    """Pool job: draw the dataset of ``spec``, fit it with ``cfg`` and return
+    replication ``rep``'s record, fit statistics plus the selection metrics
+    (P1, P2 and AE, the Table-1 columns, for the hetero model)."""
+    spec, cfg, rep = job
     ds = generate(spec)
-    # fixed penalty level lambda = 37.5 / n across the whole sweep
-    cfg = MscraConfig(tau=tau, lam=37.5 / args_dict["n"], solver="pdsn")
     t0 = time.perf_counter()
-    final, _ = mscra_fit(ds.problem, cfg)
+    final, history = mscra_fit(ds.problem, cfg)
     wall = (time.perf_counter() - t0) * 1e3
-    metrics = selection_metrics(final.beta, ds)
-    return tau, seed, metrics["l2_error"], wall
+    solver_ms = sum(s.solver_report.wall_ms for s in history)
+    rec = {"rep": rep, "seed": spec.seed, "stages": len(history),
+           "solver_iters": int(sum(s.solver_report.inner_iterations for s in history)),
+           "wall_ms": wall, "solver_ms": solver_ms, "nnz": final.nnz}
+    if spec.beta_pattern == "hetero":
+        beta = final.beta
+        selected = set(np.flatnonzero(support_mask(beta)).tolist())
+        main = set(HETERO_MAIN)
+        rec["size"] = len(selected)
+        rec["p1"] = 1.0 if main <= selected else 0.0
+        rec["p2"] = 1.0 if main <= selected and 0 in selected else 0.0
+        rec["ae"] = float(sum(abs(beta[i] - 1.0) for i in HETERO_MAIN))
+    else:
+        rec.update(selection_metrics(final.beta, ds))
+    return rec
 
 
 def cmd_tau_sweep(args):
     if not 0.0 < args.tau_min <= args.tau_max < 1.0:
         raise ValueError("need 0 < --tau-min <= --tau-max < 1")
+    if args.pattern == "hetero":
+        raise ValueError("tau-sweep reports the l2 error, which the hetero model's records "
+                         "do not carry; use bench --model hetero")
     taus = [round(t, 10) for t in np.arange(args.tau_min, args.tau_max + 1e-12, args.tau_step).tolist()]
-    seeds = [args.seed ^ r for r in range(args.reps)]
-    base = {"n": args.n, "p": args.p, "beta_pattern": args.pattern,
-            "covariance": args.cov, "noise": args.noise, "noise_var": args.noise_var,
-            "snr": args.snr}
-    payloads = [(base, t, s) for t in taus for s in seeds]
-    results = _run_pool(_tau_sweep_one, payloads, args.threads)
+    specs = [_synthetic_spec(args, args.seed ^ r) for r in range(args.reps)]
+    # fixed penalty level lambda = 37.5 / n across the whole sweep
+    cfgs = [MscraConfig(tau=t, lam=37.5 / args.n) for t in taus]
+    jobs = [(spec, cfg, r) for cfg in cfgs for r, spec in enumerate(specs)]
+    records = _run_pool(jobs, args.threads)
     rows = []
-    for t in taus:
-        sub = [r for r in results if r[0] == t]
-        rows.append((t, float(np.mean([r[2] for r in sub])), float(np.mean([r[3] for r in sub]))))
+    for i, t in enumerate(taus):
+        sub = records[i * args.reps:(i + 1) * args.reps]
+        rows.append((t, float(np.mean([r["l2_error"] for r in sub])), float(np.mean([r["wall_ms"] for r in sub]))))
     text = "tau,l2_error,wall_ms\n" + "\n".join(f"{r[0]!r},{r[1]!r},{r[2]!r}" for r in rows) + "\n"
     _write(text, args.out)
     return 0
@@ -228,10 +258,11 @@ def _pin_blas_threads():
             setter(1)
 
 
-def _run_pool(fn, payloads, threads):
+def _run_pool(jobs, threads):
+    """The records of ``_fit_job`` over ``jobs``, in order."""
     workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+    if workers <= 1 or len(jobs) <= 1:
+        return [_fit_job(job) for job in jobs]
     # every pool job samples a dataset; load the samplers' scipy.special
     # here, once, so that the forked workers inherit it instead of each
     # importing it again
@@ -239,63 +270,35 @@ def _run_pool(fn, payloads, threads):
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
                                                 initializer=_pin_blas_threads) as pool:
-        return list(pool.map(fn, payloads))
+        return list(pool.map(_fit_job, jobs))
 
 
-def _bench_one(payload):
-    kind = payload["kind"]
-    seed = payload["seed"]
-    spec = SyntheticSpec(**payload["spec"], seed=seed)
-    ds = generate(spec)
-    cfg = _mscra_config(payload["tau"], payload["lam"], payload["model"])
-    t0 = time.perf_counter()
-    final, history = mscra_fit(ds.problem, cfg)
-    wall = (time.perf_counter() - t0) * 1e3
-    solver_ms = sum(s.solver_report.wall_ms for s in history)
-    rec = {"rep": payload["rep"], "seed": seed, "stages": len(history),
-           "solver_iters": int(sum(s.solver_report.inner_iterations for s in history)),
-           "wall_ms": wall, "solver_ms": solver_ms, "nnz": final.nnz}
-    if kind == "hetero":
-        beta = final.beta
-        selected = set(np.flatnonzero(support_mask(beta)).tolist())
-        main = set(HETERO_MAIN)
-        rec["size"] = len(selected)
-        rec["p1"] = 1.0 if main <= selected else 0.0
-        rec["p2"] = 1.0 if main <= selected and 0 in selected else 0.0
-        rec["ae"] = float(sum(abs(beta[i] - 1.0) for i in HETERO_MAIN))
-    else:
-        m = selection_metrics(final.beta, ds)
-        rec.update({"l2_error": m["l2_error"], "fp": m["fp"], "fn": m["fn"], "size": m["size"]})
-    return rec
+def _aggregate(scenario, records):
+    """The closing line of a bench run: mean and sample standard deviation
+    of every numeric record field."""
+    keys = sorted({k for r in records for k, v in r.items() if isinstance(v, (int, float)) and not isinstance(v, bool)})
+    out = {"scenario": scenario, "replications": len(records), "aggregate": True}
+    for k in keys:
+        vals = np.asarray([float(r[k]) for r in records])
+        out[f"{k}_mean"] = float(vals.mean())
+        out[f"{k}_sd"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+    return out
 
 
 def cmd_bench(args):
-    kind = args.model
-    if kind == "hetero":
-        spec = {"n": args.n, "p": args.p, "beta_pattern": "hetero",
-                "covariance": args.cov, "noise": "normal", "noise_var": 1.0, "snr": None}
-    else:
-        spec = {"n": args.n, "p": args.p, "beta_pattern": "fixed16",
-                "covariance": args.cov, "noise": args.noise, "noise_var": args.noise_var,
-                "snr": None}
+    hetero = args.pattern == "hetero"
+    if args.noise_var is None:
+        args.noise_var = 1.0 if hetero else 2.0
+    specs = [_synthetic_spec(args, args.seed ^ r) for r in range(args.reps)]
     lam = args.lam
     if lam is None and args.nu is None:
-        gamma = args.gamma if args.gamma is not None else (0.1 if kind == "hetero" else 0.116)
-        probe = generate(SyntheticSpec(**spec, seed=args.seed))
-        lam = float(lambda_grid(probe.problem, gamma, gamma, 1)[0])
+        gamma = args.gamma if args.gamma is not None else (0.1 if hetero else 0.116)
+        lam = float(lambda_grid(generate(specs[0]).problem, gamma, gamma, 1)[0])
     # checks lambda/nu before any worker starts
-    cfg = _mscra_config(args.tau, lam, _model(args), nu=args.nu)
-    scenario = f"{args.model}:{args.cov}:{args.noise}:tau{args.tau}"
-    payloads = [{"kind": kind, "spec": spec, "seed": args.seed ^ r, "rep": r,
-                 "tau": args.tau, "lam": cfg.lam, "model": _model(args)}
-                for r in range(args.reps)]
-    records = _run_pool(_bench_one, payloads, args.threads)
-    records.sort(key=lambda r: r["rep"])
-    run = BenchRun(scenario=scenario, records=records)
-    lines = [_json_dumps(r) for r in records]
-    agg = run.aggregate()
-    agg["aggregate"] = True
-    lines.append(_json_dumps(agg))
+    cfg = _mscra_config(args, lam)
+    records = _run_pool([(spec, cfg, r) for r, spec in enumerate(specs)], args.threads)
+    scenario = f"{args.pattern}:{args.cov}:{args.noise}:tau{args.tau}"
+    lines = [_json_dumps(r) for r in records] + [_json_dumps(_aggregate(scenario, records))]
     _write("".join(lines), args.out)
     return 0
 
@@ -313,26 +316,13 @@ def build_parser():
     fit.set_defaults(fn=cmd_fit)
 
     dg = sub.add_parser("datagen", help="emit a synthetic CSV + JSON sidecar")
-    dg.add_argument("--n", type=int, required=True)
-    dg.add_argument("--p", type=int, required=True)
-    dg.add_argument("--pattern", choices=("alternating-decay", "fixed16", "random-support", "hetero"),
-                    default="fixed16")
-    dg.add_argument("--cov", default="identity")
-    dg.add_argument("--noise", default="normal")
-    dg.add_argument("--noise-var", type=float, default=1.0)
-    dg.add_argument("--snr", type=float, default=None)
+    _add_dataset(dg)
     dg.add_argument("--seed", type=int, default=0)
     dg.add_argument("--out", default=None)
     dg.set_defaults(fn=cmd_datagen)
 
     ls = sub.add_parser("lambda-sweep", help="sweep the penalty grid on one subproblem")
-    ls.add_argument("--n", type=int, default=200)
-    ls.add_argument("--p", type=int, default=500)
-    ls.add_argument("--pattern", default="alternating-decay")
-    ls.add_argument("--cov", default="identity")
-    ls.add_argument("--noise", default="normal")
-    ls.add_argument("--noise-var", type=float, default=1.0)
-    ls.add_argument("--snr", type=float, default=3.0)
+    _add_dataset(ls, n=200, p=500, pattern="alternating-decay", snr=3.0)
     ls.add_argument("--gamma-min", type=float, default=0.02)
     ls.add_argument("--gamma-max", type=float, default=0.25)
     ls.add_argument("--count", type=int, default=50)
@@ -341,13 +331,7 @@ def build_parser():
     ls.set_defaults(fn=cmd_lambda_sweep)
 
     ts = sub.add_parser("tau-sweep", help="sweep the quantile level with full fits")
-    ts.add_argument("--n", type=int, default=100)
-    ts.add_argument("--p", type=int, default=300)
-    ts.add_argument("--pattern", default="random-support")
-    ts.add_argument("--cov", default="cs:0.6")
-    ts.add_argument("--noise", default="laplace")
-    ts.add_argument("--noise-var", type=float, default=1.0)
-    ts.add_argument("--snr", type=float, default=None)
+    _add_dataset(ts, n=100, p=300, pattern="random-support", cov="cs:0.6", noise="laplace")
     ts.add_argument("--tau-min", type=float, default=0.05)
     ts.add_argument("--tau-max", type=float, default=0.95)
     ts.add_argument("--tau-step", type=_STEP, default=0.05)
@@ -356,29 +340,28 @@ def build_parser():
     ts.set_defaults(fn=cmd_tau_sweep)
 
     bn = sub.add_parser("bench", help="replicated benchmark scenario (JSON-lines)")
-    bn.add_argument("--model", choices=("fixed16", "hetero"), default="fixed16")
+    bn.add_argument("--model", dest="pattern", choices=("fixed16", "hetero"), default="fixed16")
     bn.add_argument("--n", type=int, default=200)
     bn.add_argument("--p", type=int, default=1000)
     bn.add_argument("--cov", default="identity")
     bn.add_argument("--noise", default="normal")
-    bn.add_argument("--noise-var", type=float, default=2.0)
+    bn.add_argument("--noise-var", type=float, default=None, help="default 2 (fixed16) or 1 (hetero)")
     bn.add_argument("--gamma", type=float, default=None,
                     help="penalty scale; default 0.116 (fixed16) or 0.1 (hetero)")
     bn.add_argument("--reps", type=_COUNT, default=10)
     _add_common(bn, lam=True, model=True, threads=True)
-    bn.set_defaults(fn=cmd_bench)
+    bn.set_defaults(fn=cmd_bench, snr=None)
 
     return ap
 
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
-    if hasattr(args, "tau") and not 0.0 < args.tau < 1.0:
-        sys.stderr.write("tau must be in (0,1)\n")
-        return 1
     try:
+        args = ap.parse_args(argv)
         return args.fn(args)
+    except _UsageError:
+        return 1
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -76,6 +76,9 @@ class SyntheticSpec:
             raise ValueError("SNR calibration is undefined for Cauchy noise")
         if self.beta_pattern == "hetero" and self.p < 20:
             raise ValueError("hetero pattern needs p >= 20")
+        if self.beta_pattern == "hetero" and (self.noise, self.noise_var, self.snr) != ("normal", 1.0, None):
+            raise ValueError("hetero pattern fixes its noise at 0.7 x1 N(0,1): "
+                             "it needs normal noise, noise_var 1 and no snr")
 
     @staticmethod
     def random_support_sizes(p):

@@ -147,13 +147,14 @@ def mask_wall(text):
 
 def test_bench_process_pool_matches_serial(tmp_path):
     # the worker pool must produce the same records as the in-process path
-    args = ["bench", "--model", "fixed16", "--n", "30", "--p", "20", "--reps", "3",
-            "--seed", "6", "--gamma", "0.2"]
-    out1 = tmp_path / "serial.jsonl"
-    out2 = tmp_path / "pool.jsonl"
-    run(args + ["--threads", "1", "--out", str(out1)])
-    run(args + ["--threads", "2", "--out", str(out2)])
-    assert mask_wall(out1.read_text()) == mask_wall(out2.read_text())
+    for model in ("fixed16", "hetero"):
+        args = ["bench", "--model", model, "--n", "30", "--p", "20", "--reps", "3",
+                "--seed", "6", "--gamma", "0.2"]
+        out1 = tmp_path / f"serial-{model}.jsonl"
+        out2 = tmp_path / f"pool-{model}.jsonl"
+        assert run(args + ["--threads", "1", "--out", str(out1)]) == 0
+        assert run(args + ["--threads", "2", "--out", str(out2)]) == 0
+        assert mask_wall(out1.read_text()) == mask_wall(out2.read_text())
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -259,7 +260,16 @@ def test_usage_error_exit_code(tmp_path, capsys):
                  ["tau-sweep", "--tau-min", "0.95", "--tau-max", "1"],
                  ["tau-sweep", "--reps", "0"], ["bench", "--reps", "0"],
                  ["tau-sweep", "--threads", "-1"], ["bench", "--threads", "-1"],
-                 ["lambda-sweep", "--solvers", ","]):
+                 ["lambda-sweep", "--solvers", ","],
+                 ["fit", data, "--tau", "1.5"], ["bench", "--tau", "nan"], ["lambda-sweep", "--tau", "0"],
+                 ["fit", data, "--a", "inf"], ["fit", data, "--a", "nan"],
+                 ["fit", data, "--surrogate", "mcp", "--a", "1e308"],
+                 ["datagen", "--n", "30", "--p", "20", "--pattern", "hetero", "--noise", "cauchy",
+                  "--noise-var", "9", "--out", str(tmp_path / "h")],
+                 ["datagen", "--n", "30", "--p", "20", "--pattern", "hetero", "--snr", "5",
+                  "--out", str(tmp_path / "h")],
+                 ["bench", "--model", "hetero", "--n", "30", "--p", "20", "--noise", "cauchy",
+                  "--noise-var", "50", "--reps", "1", "--threads", "1"]):
         try:
             code = run(argv)
         except SystemExit as exc:

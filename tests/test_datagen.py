@@ -16,6 +16,10 @@ def test_spec_validation():
         SyntheticSpec(n=10, p=20, noise="cauchy", snr=3.0)
     with pytest.raises(ValueError):
         SyntheticSpec(n=10, p=10, beta_pattern="hetero")
+    # the hetero model's noise is fixed, so a noise choice is an error, not ignored
+    for noise in ({"noise": "cauchy"}, {"noise_var": 9.0}, {"snr": 5.0}):
+        with pytest.raises(ValueError):
+            SyntheticSpec(n=10, p=20, beta_pattern="hetero", **noise)
     assert parse_covariance("cs:0.6") == ("cs", 0.6)
 
 

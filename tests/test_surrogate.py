@@ -25,6 +25,10 @@ def test_construction_validation():
         SurrogateFamily("mcp", 2.0)
     with pytest.raises(ValueError):
         SurrogateFamily("bridge")
+    for kind in ("scad", "mcp"):
+        for a in (float("inf"), float("nan"), 1e308):  # 1e308**2 overflows
+            with pytest.raises(ValueError):
+                SurrogateFamily(kind, a)
 
 
 def test_phi_values():

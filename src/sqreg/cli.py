@@ -85,7 +85,7 @@ def _add_common(sub, tau=True, lam=False, model=False, threads=False):
         group.add_argument("--nu", type=float, default=None)
     if model:
         sub.add_argument("--surrogate", choices=KINDS, default="scad")
-        sub.add_argument("--a", type=float, default=3.7)
+        sub.add_argument("--a", type=float, default=None, help="scad/mcp shape; default 3.7")
         sub.add_argument("--solver", choices=("pdsn", "admm"), default="pdsn")
     sub.add_argument("--seed", type=int, default=0)
     if threads:
@@ -197,12 +197,27 @@ def cmd_lambda_sweep(args):
     return 0
 
 
+# the last (SyntheticSpec, dataset) _fit_job drew in this process; _run_pool
+# clears it, so that it holds only within one command
+_last_dataset = None
+
+
+def _dataset(spec):
+    """generate(spec), reusing the dataset of the previous call when its spec
+    is equal: pool jobs come replication by replication, so each worker draws
+    each replication's dataset once."""
+    global _last_dataset
+    if _last_dataset is None or _last_dataset[0] != spec:
+        _last_dataset = (spec, generate(spec))
+    return _last_dataset[1]
+
+
 def _fit_job(job):
     """Pool job: draw the dataset of ``spec``, fit it with ``cfg`` and return
     replication ``rep``'s record, fit statistics plus the selection metrics
     (P1, P2 and AE, the Table-1 columns, for the hetero model)."""
     spec, cfg, rep = job
-    ds = generate(spec)
+    ds = _dataset(spec)
     t0 = time.perf_counter()
     final, history = mscra_fit(ds.problem, cfg)
     wall = (time.perf_counter() - t0) * 1e3
@@ -233,11 +248,12 @@ def cmd_tau_sweep(args):
     specs = [_synthetic_spec(args, args.seed ^ r) for r in range(args.reps)]
     # fixed penalty level lambda = 37.5 / n across the whole sweep
     cfgs = [MscraConfig(tau=t, lam=37.5 / args.n) for t in taus]
-    jobs = [(spec, cfg, r) for cfg in cfgs for r, spec in enumerate(specs)]
+    # replication-major, so that consecutive jobs share a dataset
+    jobs = [(spec, cfg, r) for r, spec in enumerate(specs) for cfg in cfgs]
     records = _run_pool(jobs, args.threads)
     rows = []
     for i, t in enumerate(taus):
-        sub = records[i * args.reps:(i + 1) * args.reps]
+        sub = records[i::len(taus)]
         rows.append((t, float(np.mean([r["l2_error"] for r in sub])), float(np.mean([r["wall_ms"] for r in sub]))))
     text = "tau,l2_error,wall_ms\n" + "\n".join(f"{r[0]!r},{r[1]!r},{r[2]!r}" for r in rows) + "\n"
     _write(text, args.out)
@@ -260,9 +276,14 @@ def _pin_blas_threads():
 
 def _run_pool(jobs, threads):
     """The records of ``_fit_job`` over ``jobs``, in order."""
+    global _last_dataset
     workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
+    _last_dataset = None  # forked workers start without it
     if workers <= 1 or len(jobs) <= 1:
-        return [_fit_job(job) for job in jobs]
+        try:
+            return [_fit_job(job) for job in jobs]
+        finally:
+            _last_dataset = None
     # every pool job samples a dataset; load the samplers' scipy.special
     # here, once, so that the forked workers inherit it instead of each
     # importing it again
@@ -275,8 +296,9 @@ def _run_pool(jobs, threads):
 
 def _aggregate(scenario, records):
     """The closing line of a bench run: mean and sample standard deviation
-    of every numeric record field."""
-    keys = sorted({k for r in records for k, v in r.items() if isinstance(v, (int, float)) and not isinstance(v, bool)})
+    of every numeric record field but the identifiers ``rep`` and ``seed``."""
+    keys = sorted({k for r in records for k, v in r.items()
+                   if isinstance(v, (int, float)) and not isinstance(v, bool) and k not in ("rep", "seed")})
     out = {"scenario": scenario, "replications": len(records), "aggregate": True}
     for k in keys:
         vals = np.asarray([float(r[k]) for r in records])

@@ -9,6 +9,7 @@ Each step is solved by a semismooth Newton method on the smooth convex dual
 Psi, whose gradient Phi is assembled from the two proximal maps.
 """
 
+import math
 import time
 
 import numpy as np
@@ -112,7 +113,13 @@ def kkt_residual(problem, beta, z, u, weights):
 class _DualWork:
     """Dual workspace of one PPA solve: the data, the current PPA step's
     anchors (beta^j, z^j) and gammas (see anchor), buffers, and the Newton
-    matrix state that newton_direction keeps across Newton and PPA steps."""
+    matrix state that newton_direction keeps across Newton and PPA steps.
+
+    The two prox arguments are evaluated as one stacked (n+p) vector, the z
+    block first, then the beta block: q = anchor - (u; X^T u) / divisor,
+    clipped to [lower, upper] elementwise. ``q2, q1``, ``pz, pb`` and
+    ``zj, bj`` are the blocks of the stacked buffers.
+    """
 
     def __init__(self, spec, beta_anchor, gamma1, gamma2):
         pr = spec.problem
@@ -121,11 +128,14 @@ class _DualWork:
         self.n, self.p = pr.n, pr.p
         self.tau = pr.tau
         self.omega = spec.weights
-        # the prox arguments and images at the last evaluated point (see
-        # value), and scratch buffers
-        self.q1, self.pb, self._cb = (np.empty(self.p) for _ in range(3))
-        self.q2, self.pz, self._cz = (np.empty(self.n) for _ in range(3))
+        # stacked: the anchors (z^j; beta^j), divisors (g2; g1) and clip
+        # bounds of the prox arguments, and the prox arguments q, their clips
+        # and images q - clip at the last evaluated point (see value)
+        m = self.n + self.p
+        self._anc, self._div, self._lo, self._hi, self._q, self._c, self._img, self._v = (
+            np.empty(m) for _ in range(8))
         self._le = np.empty(self.n, dtype=bool)
+        self._bind_blocks()
         # Newton matrix: the active mask J of the last dense solve, the
         # unscaled active Gram W0 = X_J X_J^T, the buffer of the scaled
         # matrix W and the count of columns updated since W0 was built
@@ -133,16 +143,33 @@ class _DualWork:
         self.updates = 0
         self.anchor(beta_anchor, gamma1, gamma2)
 
+    def _bind_blocks(self):
+        """Bind the block views of the stacked buffers as attributes, so that
+        an evaluation looks up no slices."""
+        n = self.n
+        self.zj, self.bj = self._anc[:n], self._anc[n:]
+        self.q2, self.q1 = self._q[:n], self._q[n:]
+        self._cz, self._cb = self._c[:n], self._c[n:]
+        self.pz, self.pb = self._img[:n], self._img[n:]
+
+    def __setstate__(self, state):
+        # a copy has buffers of its own: its views must be of those
+        self.__dict__.update(state)
+        self._bind_blocks()
+
     def anchor(self, beta_anchor, gamma1, gamma2):
         """Start a PPA step at beta^j = beta_anchor, z^j = y - X beta^j."""
-        self.bj = np.asarray(beta_anchor, dtype=float)
-        self.zj = self.y - self.X @ self.bj
+        n = self.n
+        self.bj[:] = beta_anchor
+        np.subtract(self.y, self.X @ self.bj, out=self.zj)
         self.g1 = float(gamma1)
         self.g2 = float(gamma2)
         self.hi2 = self.tau / (self.n * self.g2)
         self.lo2 = (self.tau - 1.0) / (self.n * self.g2)
-        self.thr1 = self.omega / self.g1
-        self.neg_thr1 = -self.thr1
+        self._div[:n], self._div[n:] = self.g2, self.g1
+        self._lo[:n], self._hi[:n] = self.lo2, self.hi2
+        np.divide(self.omega, self.g1, out=self._hi[n:])
+        np.negative(self._hi[n:], out=self._lo[n:])
 
     def value(self, u, Xtu):
         """Psi(u), leaving the prox arguments q1 = beta^j - X^T u/g1,
@@ -154,41 +181,42 @@ class _DualWork:
         The clips are maximum-then-minimum, the order np.clip applies them.
         The dual minimum equals minus the regularized primal minimum.
         """
-        g1, g2 = self.g1, self.g2
-        q2, cz, pz, q1, cb, pb = self.q2, self._cz, self.pz, self.q1, self._cb, self.pb
-        np.subtract(self.bj, np.divide(Xtu, g1, out=q1), out=q1)
-        np.subtract(self.zj, np.divide(u, g2, out=q2), out=q2)
-        np.minimum(np.maximum(q2, self.lo2, out=cz), self.hi2, out=cz)
-        np.subtract(q2, cz, out=pz)
-        np.minimum(np.maximum(q1, self.neg_thr1, out=cb), self.thr1, out=cb)
-        np.subtract(q1, cb, out=pb)
-        cz2, cb2 = float(cz @ cz), float(cb @ cb)
+        return self._value(np.concatenate((u, Xtu), out=self._v), u, Xtu)
+
+    def _value(self, v, u, Xtu):
+        """value at the stacked point v = (u; Xtu), whose blocks are u and Xtu."""
+        q, c, cz, cb, pz = self._q, self._c, self._cz, self._cb, self.pz
+        np.subtract(self._anc, np.divide(v, self._div, out=q), out=q)
+        np.minimum(np.maximum(q, self._lo, out=c), self._hi, out=c)
+        np.subtract(q, c, out=self._img)
+        cz2, cb2 = float(cz.dot(cz)), float(cb.dot(cb))
         # cz and cb are free again: they hold tau - (pz <= 0) and |pb|
         wz = np.subtract(self.tau, np.less_equal(pz, 0, out=self._le), out=cz)
-        env_f = float(wz @ pz) / self.n + 0.5 * g2 * cz2
-        env_h = float(self.omega @ np.abs(pb, out=cb)) + 0.5 * g1 * cb2
-        quad = 0.5 * float(u @ u) / g2 + 0.5 * float(Xtu @ Xtu) / g1
+        env_f = float(wz.dot(pz)) / self.n + 0.5 * self.g2 * cz2
+        env_h = float(self.omega.dot(np.abs(self.pb, out=cb))) + 0.5 * self.g1 * cb2
+        quad = 0.5 * float(u.dot(u)) / self.g2 + 0.5 * float(Xtu.dot(Xtu)) / self.g1
         return quad - env_f - env_h
 
     def dir_deriv(self, d, Xtd):
         """<grad Psi, d> at the last evaluated point:
         <Phi, d> = <y - pz, d> - <pb, X^T d>."""
         ypz = np.subtract(self.y, self.pz, out=self._cz)
-        return float(ypz @ d - self.pb @ Xtd)
+        return float(ypz.dot(d) - self.pb.dot(Xtd))
 
     def along(self, u, Xtu, d, Xtd):
         """The line-search evaluator a -> (Psi(u + a d), <grad Psi(u + a d), d>),
-        with the trial point formed in buffers of this evaluator. A
+        with the stacked trial point formed in a buffer of this evaluator. A
         non-finite Psi raises FloatingPointError.
         """
-        ua = np.empty_like(u)
-        Xtua = np.empty_like(Xtu)
+        base = np.concatenate((u, Xtu))
+        step = np.concatenate((d, Xtd))
+        trial = np.empty_like(base)
+        ua, Xtua = trial[:self.n], trial[self.n:]
 
         def ev(a):
-            np.add(u, np.multiply(d, a, out=ua), out=ua)
-            np.add(Xtu, np.multiply(Xtd, a, out=Xtua), out=Xtua)
-            psi = self.value(ua, Xtua)
-            if not np.isfinite(psi):
+            np.add(base, np.multiply(step, a, out=trial), out=trial)
+            psi = self._value(trial, ua, Xtua)
+            if not math.isfinite(psi):
                 raise FloatingPointError("non-finite dual value in line search")
             return psi, self.dir_deriv(d, Xtd)
 

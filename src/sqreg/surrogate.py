@@ -153,10 +153,14 @@ def mcp(a=3.7):
     return SurrogateFamily("mcp", a)
 
 
-def from_name(name, a=3.7):
-    """Build a family from its CLI name."""
+def from_name(name, a=None):
+    """Build a family from its CLI name; ``a`` shapes scad and mcp (3.7 when
+    None) and must be None for capped-l1, which has no shape parameter."""
     if name == "capped-l1":
+        if a is not None:
+            raise ValueError("the capped-l1 surrogate takes no --a")
         return capped_l1()
+    a = 3.7 if a is None else a
     if name == "scad":
         return scad(a)
     if name == "mcp":

@@ -122,6 +122,8 @@ def test_bench_records_and_aggregate(tmp_path):
     for key in ("l2_error", "fp", "fn", "size"):
         vals = [r[key] for r in recs]
         assert agg[f"{key}_mean"] == pytest.approx(np.mean(vals), abs=1e-12)
+    # identifiers are not averaged
+    assert not {"rep_mean", "rep_sd", "seed_mean", "seed_sd"} & agg.keys()
 
 
 def _zero_wall(obj):
@@ -155,6 +157,37 @@ def test_bench_process_pool_matches_serial(tmp_path):
         assert run(args + ["--threads", "1", "--out", str(out1)]) == 0
         assert run(args + ["--threads", "2", "--out", str(out2)]) == 0
         assert mask_wall(out1.read_text()) == mask_wall(out2.read_text())
+
+
+TAU_SWEEP_3X3 = ["tau-sweep", "--n", "30", "--p", "20", "--tau-min", "0.3", "--tau-max", "0.7",
+                 "--tau-step", "0.2", "--reps", "3", "--seed", "9"]
+
+
+def test_tau_sweep_draws_each_dataset_once(tmp_path, monkeypatch):
+    # jobs run replication by replication: a serial sweep draws each
+    # replication's dataset once for all its tau, and keeps none afterwards
+    import sqreg.cli as C
+
+    seeds = []
+    generate = C.generate
+
+    def counted(spec):
+        seeds.append(spec.seed)
+        return generate(spec)
+
+    monkeypatch.setattr(C, "generate", counted)
+    assert run(TAU_SWEEP_3X3 + ["--threads", "1", "--out", str(tmp_path / "t.csv")]) == 0
+    assert seeds == [9, 9 ^ 1, 9 ^ 2]
+    assert C._last_dataset is None
+
+
+def test_tau_sweep_process_pool_matches_serial(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"tau-{threads}.csv"
+        assert run(TAU_SWEEP_3X3 + ["--threads", threads, "--out", str(out)]) == 0
+        outs.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    assert len(outs[0]) == 4 and outs[0] == outs[1]
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -264,6 +297,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
                  ["fit", data, "--tau", "1.5"], ["bench", "--tau", "nan"], ["lambda-sweep", "--tau", "0"],
                  ["fit", data, "--a", "inf"], ["fit", data, "--a", "nan"],
                  ["fit", data, "--surrogate", "mcp", "--a", "1e308"],
+                 ["fit", data, "--surrogate", "capped-l1", "--a", "3.7"],
+                 ["bench", "--surrogate", "capped-l1", "--a", "2", "--n", "30", "--p", "20",
+                  "--reps", "1", "--threads", "1"],
                  ["datagen", "--n", "30", "--p", "20", "--pattern", "hetero", "--noise", "cauchy",
                   "--noise-var", "9", "--out", str(tmp_path / "h")],
                  ["datagen", "--n", "30", "--p", "20", "--pattern", "hetero", "--snr", "5",

@@ -89,7 +89,8 @@ def _value_dir_deriv_fresh(work, u, Xtu, d, Xtd):
     q1, q2 = work.bj - Xtu / g1, work.zj - u / g2
     cz = np.clip(q2, work.lo2, work.hi2)
     pz = q2 - cz
-    cb = np.clip(q1, -work.thr1, work.thr1)
+    thr1 = work.omega / g1
+    cb = np.clip(q1, -thr1, thr1)
     pb = q1 - cb
     env_f = float((work.tau - (pz <= 0)) @ pz) / work.n + 0.5 * g2 * float(cz @ cz)
     env_h = float(work.omega @ np.abs(pb)) + 0.5 * g1 * float(cb @ cb)
@@ -122,6 +123,25 @@ def test_line_evaluator_bit_identical(rng):
     # a non-finite dual value stops the search
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         ev(np.inf)
+
+
+def test_dual_work_copy_evaluates_alike(rng):
+    # a copy's prox arguments and images are views of its own stacked
+    # buffers: it evaluates as the original does and leaves the original be
+    spec, _ = make_subproblem(5, 12, 25, lam=0.1)
+    work = make_work(spec, 0.1 * rng.standard_normal(25), gamma1=0.07, gamma2=0.04)
+    twin = copy.deepcopy(work)
+    u, d = 0.05 * rng.standard_normal(12), rng.standard_normal(12)
+    Xtu, Xtd = work.X.T @ u, work.X.T @ d
+    hexes = lambda values: [float(v).hex() for v in values]
+    want = hexes([work.value(u, Xtu), work.dir_deriv(d, Xtd), *work.q1, *work.pz])
+    pb = work.pb.copy()
+    got = hexes([twin.value(u, Xtu), twin.dir_deriv(d, Xtd), *twin.q1, *twin.pz])
+    assert got == want
+    assert np.array_equal(work.pb, pb)
+    for w in (work, twin):
+        assert np.shares_memory(w.q1, w._q) and np.shares_memory(w.pz, w._img)
+    assert hexes(twin.along(u, Xtu, d, Xtd)(0.3)) == hexes(work.along(u, Xtu, d, Xtd)(0.3))
 
 
 def test_newton_matrix_structure(rng):

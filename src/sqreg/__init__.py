@@ -10,7 +10,7 @@ from .mscra import (
     mscra_fit,
     rho_schedule,
 )
-from .pdsn import PdsnConfig, SolverError, SubproblemSpec, kkt_residual, ppa_solve
+from .pdsn import SolverError, SubproblemSpec, kkt_residual, ppa_solve
 from .problem import (
     QuantileProblem,
     check_loss,
@@ -20,14 +20,7 @@ from .problem import (
     standardize,
     support_mask,
 )
-from .prox import (
-    clarke_jacobian_check_loss_prox,
-    clarke_jacobian_weighted_l1_prox,
-    moreau_env_check_loss,
-    moreau_env_weighted_l1,
-    prox_check_loss,
-    prox_weighted_l1,
-)
+from .prox import prox_check_loss, prox_weighted_l1
 from .report import SolverReport
 from .surrogate import SurrogateFamily, capped_l1, from_name, mcp, scad
 

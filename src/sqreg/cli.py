@@ -75,8 +75,8 @@ def _json_dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _add_common(sub, tau=True, lam=False, model=False, threads=False):
-    """Add the shared flags a command honours; --seed and --out always."""
+def _add_common(sub, tau=True, lam=False, model=False, seed=True, threads=False):
+    """Add the shared flags a command honours; --out always."""
     if tau:
         sub.add_argument("--tau", type=_TAU, default=0.5)
     if lam:
@@ -87,7 +87,8 @@ def _add_common(sub, tau=True, lam=False, model=False, threads=False):
         sub.add_argument("--surrogate", choices=KINDS, default="scad")
         sub.add_argument("--a", type=float, default=None, help="scad/mcp shape; default 3.7")
         sub.add_argument("--solver", choices=("pdsn", "admm"), default="pdsn")
-    sub.add_argument("--seed", type=int, default=0)
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     if threads:
         sub.add_argument("--threads", type=_WORKERS, default=0, help="0 = machine parallelism")
     sub.add_argument("--out", default=None)
@@ -197,7 +198,7 @@ def cmd_lambda_sweep(args):
     return 0
 
 
-# the last (SyntheticSpec, dataset) _fit_job drew in this process; _run_pool
+# the last (SyntheticSpec, dataset) _dataset drew in this process; main
 # clears it, so that it holds only within one command
 _last_dataset = None
 
@@ -205,7 +206,8 @@ _last_dataset = None
 def _dataset(spec):
     """generate(spec), reusing the dataset of the previous call when its spec
     is equal: pool jobs come replication by replication, so each worker draws
-    each replication's dataset once."""
+    each replication's dataset once, and bench's replication 0 fits the
+    dataset its default lambda was drawn from."""
     global _last_dataset
     if _last_dataset is None or _last_dataset[0] != spec:
         _last_dataset = (spec, generate(spec))
@@ -275,15 +277,11 @@ def _pin_blas_threads():
 
 
 def _run_pool(jobs, threads):
-    """The records of ``_fit_job`` over ``jobs``, in order."""
-    global _last_dataset
+    """The records of ``_fit_job`` over ``jobs``, in order. Forked workers
+    start with the parent's dataset memo."""
     workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    _last_dataset = None  # forked workers start without it
     if workers <= 1 or len(jobs) <= 1:
-        try:
-            return [_fit_job(job) for job in jobs]
-        finally:
-            _last_dataset = None
+        return [_fit_job(job) for job in jobs]
     # every pool job samples a dataset; load the samplers' scipy.special
     # here, once, so that the forked workers inherit it instead of each
     # importing it again
@@ -315,7 +313,7 @@ def cmd_bench(args):
     lam = args.lam
     if lam is None and args.nu is None:
         gamma = args.gamma if args.gamma is not None else (0.1 if hetero else 0.116)
-        lam = float(lambda_grid(generate(specs[0]).problem, gamma, gamma, 1)[0])
+        lam = float(lambda_grid(_dataset(specs[0]).problem, gamma, gamma, 1)[0])
     # checks lambda/nu before any worker starts
     cfg = _mscra_config(args, lam)
     records = _run_pool([(spec, cfg, r) for r, spec in enumerate(specs)], args.threads)
@@ -334,7 +332,7 @@ def build_parser():
     fit.add_argument("--header", action="store_true")
     fit.add_argument("--intercept", action="store_true")
     fit.add_argument("--standardize", action="store_true")
-    _add_common(fit, lam=True, model=True)
+    _add_common(fit, lam=True, model=True, seed=False)
     fit.set_defaults(fn=cmd_fit)
 
     dg = sub.add_parser("datagen", help="emit a synthetic CSV + JSON sidecar")
@@ -378,6 +376,7 @@ def build_parser():
 
 
 def main(argv=None):
+    global _last_dataset
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -390,6 +389,8 @@ def main(argv=None):
     except (StageFailure, SolverError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        _last_dataset = None
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .admm import admm_solve
-from .pdsn import PdsnConfig, SolverError, SubproblemSpec, ppa_solve
+from .pdsn import SolverError, SubproblemSpec, ppa_solve
 from .pdsn import kkt_residual as stage_kkt_residual
 from .problem import matrix_norms, nonzero_count
 from .surrogate import SurrogateFamily, scad
@@ -41,7 +41,6 @@ class MscraConfig:
     err_change_tol: float = 1e-6
     rho_freeze: float = None
     penalize_intercept: bool = False
-    pdsn: PdsnConfig = field(default_factory=PdsnConfig)
 
     def __post_init__(self):
         if (self.lam is None) == (self.nu is None):
@@ -127,12 +126,13 @@ def _solve_stage(spec, cfg, warm):
     (z, u_kkt) or None; returns (beta, (z, u_kkt), report).
 
     u_kkt is the multiplier in the KKT orientation: u_kkt lies in the f_tau
-    subgradient at z. pdsn starts from u_kkt alone, admm from both.
+    subgradient at z. pdsn starts from u_kkt alone and returns z = None;
+    admm starts from both.
     """
     z, u_kkt = warm or (None, None)
     if cfg.solver == "pdsn":
-        state, report = ppa_solve(spec, cfg.pdsn, u0=u_kkt)
-        return state.beta, (state.z, state.u), report
+        state, report = ppa_solve(spec, u0=u_kkt)
+        return state.beta, (None, state.u), report
     # the sPADMM multiplier satisfies -u in the f_tau subgradient at z
     state, report = admm_solve(spec, z0=z, u0=None if u_kkt is None else -u_kkt)
     return state.beta, (state.z, -state.u), report
@@ -172,9 +172,8 @@ def mscra_fit(problem, cfg):
         w = np.asarray(cfg.surrogate.w_update(rho, np.abs(beta)), dtype=float)
         if problem.intercept_column and not cfg.penalize_intercept:
             w[0] = 1.0  # intercept weight stays zero next stage
-        z = problem.response - problem.design @ beta
         omega_k = cfg.lam * (1.0 - w)
-        err_k = stage_kkt_residual(problem, beta, z, warm[1], omega_k)
+        err_k = stage_kkt_residual(problem, beta, warm[1], omega_k)
         nnz = nonzero_count(beta)
         stage = StageState(k=k, beta=beta, w=w, rho=rho, err_k=err_k, nnz=nnz,
                            solver_report=report)

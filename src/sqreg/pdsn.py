@@ -16,23 +16,22 @@ import numpy as np
 from dataclasses import dataclass
 
 from .problem import check_loss
-from .prox import (
-    clarke_jacobian_check_loss_prox,
-    clarke_jacobian_weighted_l1_prox,
-    prox_check_loss,
-    prox_weighted_l1,
-)
+from .prox import prox_check_loss, prox_weighted_l1
 from .report import SolverReport
 
 # Reference configuration. The proximal weights start at gamma_1 = gamma_2 =
 # max(min(0.1, R0), GAMMA_FLOOR) with R0 the initial KKT residual and shrink
 # together by SHRINK per accepted PPA step down to GAMMA_FLOOR. The PPA tolerance starts at EPS_PPA_0
-# and drops tenfold per step to eps_ppa_floor; each inner Newton solve stops
-# at NEWTON_TOL_FACTOR times it.
+# and drops tenfold per step to EPS_PPA_FLOOR; each inner Newton solve stops
+# at NEWTON_TOL_FACTOR times it. A solve makes at most MAX_PPA_ITERS PPA steps
+# of at most MAX_NEWTON_ITERS Newton steps each.
 GAMMA_FLOOR = 1e-8
 SHRINK = 5.0 / 7.0
 EPS_PPA_0 = 1e-6
+EPS_PPA_FLOOR = 1e-8
 NEWTON_TOL_FACTOR = 0.1
+MAX_PPA_ITERS = 100
+MAX_NEWTON_ITERS = 100
 WOLFE_C1 = 1e-4  # strong-Wolfe sufficient decrease
 WOLFE_C2 = 0.9   # strong-Wolfe curvature
 MAX_ZOOM = 50    # line-search zoom steps
@@ -73,40 +72,26 @@ class SubproblemSpec:
 
 
 @dataclass
-class PdsnConfig:
-    eps_ppa_floor: float = 1e-8
-    max_ppa_iters: int = 100
-    max_newton_iters: int = 100
-
-    def __post_init__(self):
-        if self.eps_ppa_floor <= 0:
-            raise ValueError("eps_ppa_floor must be positive")
-        if self.max_ppa_iters < 1 or self.max_newton_iters < 1:
-            raise ValueError("iteration caps must be >= 1")
-
-
-@dataclass
 class PdsnState:
     beta: np.ndarray
-    z: np.ndarray
     u: np.ndarray
     err_ppa: float
 
 
-def kkt_residual(problem, beta, z, u, weights):
-    """Relative KKT residual at (beta, z, u) of
+def kkt_residual(problem, beta, u, weights):
+    """Relative KKT residual at (beta, u) of
 
-        min f_tau(z) + sum_i weights_i |beta_i|  s.t.  X beta + z = y.
+        min f_tau(y - X beta) + sum_i weights_i |beta_i|.
 
-    Zero exactly when u is a check-loss subgradient at z, X^T u is a
-    weighted-l1 subgradient at beta, and y - X beta - z = 0. The weighted-l1
-    block uses the Moreau-complement form beta - P_1 h(beta + X^T u).
+    Zero exactly when u is a check-loss subgradient at z = y - X beta and
+    X^T u is a weighted-l1 subgradient at beta. The weighted-l1 block uses
+    the Moreau-complement form beta - P_1 h(beta + X^T u).
     """
+    z = problem.response - problem.design @ beta
     v = beta + problem.design.T @ u
     b1 = z - prox_check_loss(z + u, 1.0, problem.tau, problem.n)
     b2 = beta - prox_weighted_l1(v, weights, 1.0)
-    b3 = problem.response - problem.design @ beta - z
-    num = np.sqrt(np.sum(b1**2) + np.sum(b2**2) + np.sum(b3**2))
+    num = np.sqrt(np.sum(b1**2) + np.sum(b2**2))
     return float(num / (1.0 + np.linalg.norm(problem.response)))
 
 
@@ -243,16 +228,16 @@ class _DualWork:
     def newton_direction(self, rhs):
         """Solve (gamma2^{-1} U + gamma1^{-1} X V X^T + mu I) d = rhs.
 
-        U, V are 0/1 diagonal Clarke elements at the prox arguments q1, q2
-        that value left, and mu = NEWTON_MU. The dense path keeps W0 =
+        U, V are the 0/1 diagonal Clarke elements of the two prox maps at the
+        prox arguments q2, q1 that value left: U = (pz != 0), 1 where q2 lies
+        strictly outside [lo2, hi2], and V = (pb != 0), 1 where |q1| >
+        omega/g1. mu = NEWTON_MU. The dense path keeps W0 =
         X_J X_J^T across calls and rank-updates it when the active set J
         changes by a few columns, rebuilding it after many; it assembles the
         scaled matrix in the buffer W.
         """
-        udiag = clarke_jacobian_check_loss_prox(self.q2, self.g2, self.tau, self.n)
-        vdiag = clarke_jacobian_weighted_l1_prox(self.q1, self.omega, self.g1)
-        dvec = udiag / self.g2 + NEWTON_MU
-        mask = vdiag > 0.0
+        dvec = (self.pz != 0.0) / self.g2 + NEWTON_MU
+        mask = self.pb != 0.0
         if self.n > DENSE_SOLVE_MAX_N:
             from scipy.sparse.linalg import LinearOperator, cg  # deferred: a slow import
 
@@ -358,7 +343,7 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
     return best_a, best_psi, evals, False
 
 
-def _newton_solve(work, u0, tol, cfg):
+def _newton_solve(work, u0, tol):
     """Semismooth Newton on Phi(u) = 0; returns (u, info dict)."""
     u = np.asarray(u0, dtype=float).copy()
     Xtu = work.X.T @ u
@@ -367,7 +352,7 @@ def _newton_solve(work, u0, tol, cfg):
     psi = work.value(u, Xtu)
     phi, pb = work.gradient_here()
     iters = 0
-    for iters in range(cfg.max_newton_iters):
+    for iters in range(MAX_NEWTON_ITERS):
         res = np.linalg.norm(phi) / ynorm1
         if res <= tol:
             break
@@ -390,45 +375,44 @@ def _newton_solve(work, u0, tol, cfg):
             psi = work.value(u, Xtu)
         phi, pb = work.gradient_here()
     else:
-        iters = cfg.max_newton_iters
+        iters = MAX_NEWTON_ITERS
         warn.append("newton iteration cap reached")
     res = np.linalg.norm(phi) / ynorm1
     return u, {"iters": iters, "phi_rel": float(res), "beta_image": pb, "warnings": warn}
 
 
-def ppa_solve(spec, cfg=None, u0=None):
+def ppa_solve(spec, u0=None):
     """Solve the weighted-l1 subproblem; returns (PdsnState, SolverReport).
 
     Parameters
     ----------
     spec : SubproblemSpec with the data, weights and warm-start anchor.
-    cfg : PdsnConfig; the gamma and eps schedules are the module constants
-        (gamma_{1,0} = gamma_{2,0} = min(0.1, R0), shrink 5/7, floor 1e-8,
-        eps schedule 1e-6 -> max(eps_ppa_floor, eps/10)).
     u0 : optional warm-start multiplier in the KKT orientation
-        (u in the subgradient of f_tau at z).
+        (u in the subgradient of f_tau at z = y - X beta).
+
+    The gamma and eps schedules and the iteration caps are the module
+    constants (gamma_{1,0} = gamma_{2,0} = min(0.1, R0), shrink 5/7, floor
+    1e-8, eps schedule 1e-6 -> max(EPS_PPA_FLOOR, eps/10)).
     """
-    cfg = cfg or PdsnConfig()
     pr = spec.problem
     t0 = time.perf_counter()
-    X, y = pr.design, pr.response
+    X = pr.design
     beta = np.asarray(spec.anchor, dtype=float).copy()
-    z = y - X @ beta
     u_kkt = np.zeros(pr.n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    err = kkt_residual(pr, beta, z, u_kkt, spec.weights)
+    err = kkt_residual(pr, beta, u_kkt, spec.weights)
     gamma = max(min(0.1, err), GAMMA_FLOOR)  # gamma_1 = gamma_2 throughout
     eps = EPS_PPA_0
     u_psi = -u_kkt
     total_newton = 0
     warnings = []
-    converged = err <= min(eps, cfg.eps_ppa_floor)
+    converged = err <= min(eps, EPS_PPA_FLOOR)
     ppa_iters = 0
     last_phi_rel = float("nan")
     cur_obj = spec.objective(beta)
     stalls = 0
     work = _DualWork(spec, beta, gamma, gamma)
-    while not converged and ppa_iters < cfg.max_ppa_iters:
-        u_psi, info = _newton_solve(work, u_psi, NEWTON_TOL_FACTOR * eps, cfg)
+    while not converged and ppa_iters < MAX_PPA_ITERS:
+        u_psi, info = _newton_solve(work, u_psi, NEWTON_TOL_FACTOR * eps)
         total_newton += info["iters"]
         last_phi_rel = info["phi_rel"]
         warnings.extend(info["warnings"])
@@ -449,16 +433,15 @@ def ppa_solve(spec, cfg=None, u0=None):
         stalls = 0
         beta = beta_new
         cur_obj = new_obj
-        z = y - X @ beta
         u_kkt = -u_psi
-        err = kkt_residual(pr, beta, z, u_kkt, spec.weights)
+        err = kkt_residual(pr, beta, u_kkt, spec.weights)
         if err <= eps:
             converged = True
             break
-        eps = max(cfg.eps_ppa_floor, 0.1 * eps)
+        eps = max(EPS_PPA_FLOOR, 0.1 * eps)
         gamma = max(GAMMA_FLOOR, SHRINK * gamma)
         work.anchor(beta, gamma, gamma)
-    state = PdsnState(beta=beta, z=z, u=u_kkt, err_ppa=err)
+    state = PdsnState(beta=beta, u=u_kkt, err_ppa=err)
     report = SolverReport(
         converged=bool(converged),
         iterations=ppa_iters,

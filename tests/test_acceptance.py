@@ -16,7 +16,6 @@ import pytest
 from sqreg import (
     AdmmConfig,
     MscraConfig,
-    PdsnConfig,
     QuantileProblem,
     SubproblemSpec,
     SyntheticSpec,
@@ -32,6 +31,7 @@ from sqreg import (
     selection_metrics,
     support_mask,
 )
+from sqreg import pdsn
 from sqreg.datagen import HETERO_MAIN
 from sqreg.cli import main as cli_main
 from sqreg.pdsn import _DualWork
@@ -184,9 +184,10 @@ def test_c5_surrogate_identities():
 
 # ---------------------------------------------------------------- criterion 6
 
-def test_c6_mm_monotonicity():
+def test_c6_mm_monotonicity(monkeypatch):
     """Exact inner solves (floor 1e-10), rho frozen: the DC objective is
     nonincreasing across stages on ten instances (n=50, p=100)."""
+    monkeypatch.setattr(pdsn, "EPS_PPA_FLOOR", 1e-10)
     t0 = time.perf_counter()
     fam = scad(3.7)
     lam, rho = 0.15, 1.0
@@ -200,8 +201,7 @@ def test_c6_mm_monotonicity():
         y = X @ beta + 0.3 * rng.standard_normal(50)
         pr = QuantileProblem(X, y, tau=0.5)
         cfg = MscraConfig(tau=0.5, lam=lam, surrogate=fam, rho_freeze=rho, max_stages=6,
-                          stage_tol=0.0, err_change_tol=0.0,
-                          pdsn=PdsnConfig(eps_ppa_floor=1e-10))
+                          stage_tol=0.0, err_change_tol=0.0)
         _, hist = mscra_fit(pr, cfg)
         vals = [check_loss(y - X @ s.beta, 0.5) + np.sum(fam.h_rho(rho, s.beta)) / nu for s in hist]
         assert all(vals[i + 1] <= vals[i] + 1e-8 for i in range(len(vals) - 1))
@@ -294,8 +294,7 @@ def test_c9_determinism(tmp_path):
                   "--cov", "ar:0.7", "--noise", "t4", "--seed", "5", "--out", str(d / "g")])
         outs["gen_csv"] = (d / "g.csv").read_text()
         outs["gen_json"] = (d / "g.json").read_text()
-        cli_main(["fit", str(csv_src) + ".csv", "--lambda", "0.15", "--seed", "3",
-                  "--out", str(d / "fit.json")])
+        cli_main(["fit", str(csv_src) + ".csv", "--lambda", "0.15", "--out", str(d / "fit.json")])
         outs["fit"] = mask_wall((d / "fit.json").read_text())
         cli_main(["lambda-sweep", "--n", "25", "--p", "10", "--count", "3",
                   "--gamma-min", "0.1", "--gamma-max", "0.3", "--seed", "2",

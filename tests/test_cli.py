@@ -163,9 +163,8 @@ TAU_SWEEP_3X3 = ["tau-sweep", "--n", "30", "--p", "20", "--tau-min", "0.3", "--t
                  "--tau-step", "0.2", "--reps", "3", "--seed", "9"]
 
 
-def test_tau_sweep_draws_each_dataset_once(tmp_path, monkeypatch):
-    # jobs run replication by replication: a serial sweep draws each
-    # replication's dataset once for all its tau, and keeps none afterwards
+def drawn_seeds(monkeypatch):
+    """The seeds of the datasets sqreg.cli draws from now on, in order."""
     import sqreg.cli as C
 
     seeds = []
@@ -176,8 +175,32 @@ def test_tau_sweep_draws_each_dataset_once(tmp_path, monkeypatch):
         return generate(spec)
 
     monkeypatch.setattr(C, "generate", counted)
+    return seeds
+
+
+def test_tau_sweep_draws_each_dataset_once(tmp_path, monkeypatch):
+    # jobs run replication by replication: a serial sweep draws each
+    # replication's dataset once for all its tau, and keeps none afterwards
+    import sqreg.cli as C
+
+    seeds = drawn_seeds(monkeypatch)
     assert run(TAU_SWEEP_3X3 + ["--threads", "1", "--out", str(tmp_path / "t.csv")]) == 0
     assert seeds == [9, 9 ^ 1, 9 ^ 2]
+    assert C._last_dataset is None
+
+
+def test_bench_fits_the_default_lambda_dataset(tmp_path, monkeypatch):
+    # replication 0 fits the dataset the default lambda was drawn from; no
+    # dataset outlives the command, also when an input error follows the draw
+    import sqreg.cli as C
+
+    seeds = drawn_seeds(monkeypatch)
+    argv = ["bench", "--n", "30", "--p", "20", "--reps", "2", "--seed", "5", "--threads", "1"]
+    assert run(argv + ["--out", str(tmp_path / "b.jsonl")]) == 0
+    assert seeds == [5, 5 ^ 1]
+    assert C._last_dataset is None
+    assert run(argv + ["--a", "inf"]) == 1
+    assert seeds == [5, 5 ^ 1, 5]
     assert C._last_dataset is None
 
 
@@ -282,6 +305,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
     # rejects them
     data = write_small_csv(tmp_path)
     for argv in (["fit", "x.csv", "--bogus"], ["fit", "x.csv", "--threads", "2"],
+                 ["fit", data, "--seed", "3"],
                  ["lambda-sweep", "--threads", "1"], ["lambda-sweep", "--solver", "pdsn"],
                  ["tau-sweep", "--tau", "0.3"], ["tau-sweep", "--solver", "admm"],
                  ["tau-sweep", "--surrogate", "mcp"], ["tau-sweep", "--a", "4.0"],

@@ -3,7 +3,6 @@ import pytest
 
 from sqreg import (
     MscraConfig,
-    PdsnConfig,
     QuantileProblem,
     SubproblemSpec,
     SyntheticSpec,
@@ -16,6 +15,7 @@ from sqreg import (
     scad,
     selection_metrics,
 )
+from sqreg import pdsn
 from sqreg.mscra import stage_kkt_residual
 
 from conftest import make_problem
@@ -111,10 +111,10 @@ def test_stage_kkt_residual_constructed_zero():
     pr = QuantileProblem(X, y, tau=tau)
     u = np.full(n, tau / n)
     w = np.full(n, tau / n)  # weights equal to X^T u at positive beta
-    assert stage_kkt_residual(pr, beta, z, u, w) <= 1e-14
-    # Lipschitz response to a z perturbation
+    assert stage_kkt_residual(pr, beta, u, w) <= 1e-14
+    # Lipschitz response to a multiplier perturbation
     eps = 1e-3
-    r = stage_kkt_residual(pr, beta, z + eps, u, w)
+    r = stage_kkt_residual(pr, beta, u + eps, w)
     assert r <= 2 * eps * np.sqrt(n) / (1 + np.linalg.norm(y)) + 1e-12
 
 
@@ -140,15 +140,15 @@ def test_lambda_grid():
     assert np.all(lambda_grid(tiny, 0.02, 0.25, 5) == 0.01)
 
 
-def test_mm_monotone_small():
+def test_mm_monotone_small(monkeypatch):
     # frozen rho + exact inner solves: Theta_{nu,rho} nonincreasing over stages
+    monkeypatch.setattr(pdsn, "EPS_PPA_FLOOR", 1e-10)
     problem, _ = make_problem(9, 30, 60, sparsity=4, noise=0.3)
     fam = scad(3.7)
     lam = 0.12
     rho = 1.0
     cfg = MscraConfig(tau=0.5, lam=lam, surrogate=fam, rho_freeze=rho, max_stages=6,
-                      stage_tol=0.0, err_change_tol=0.0,
-                      pdsn=PdsnConfig(eps_ppa_floor=1e-10))
+                      stage_tol=0.0, err_change_tol=0.0)
     final, history = mscra_fit(problem, cfg)
     nu = 1.0 / lam
 

@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from sqreg import (
-    PdsnConfig,
     QuantileProblem,
     SubproblemSpec,
     check_loss,
-    clarke_jacobian_check_loss_prox,
-    clarke_jacobian_weighted_l1_prox,
     kkt_residual,
     ppa_solve,
     prox_check_loss,
@@ -150,9 +147,12 @@ def test_newton_matrix_structure(rng):
     u = 0.1 * rng.standard_normal(8)
     work.value(u, work.X.T @ u)  # leaves the prox arguments in work.q1, work.q2
     q1, q2 = work.q1, work.q2
-    # dense reference W = gamma2^{-1} U + gamma1^{-1} X V X^T + mu I, mu = 1e-5
-    U = clarke_jacobian_check_loss_prox(q2, work.g2, work.tau, work.n)
-    V = clarke_jacobian_weighted_l1_prox(q1, work.omega, work.g1)
+    # dense reference W = gamma2^{-1} U + gamma1^{-1} X V X^T + mu I, mu = 1e-5,
+    # with the Clarke elements U = 1 outside the check-loss kinks and V = 1
+    # where |gamma1 q1| > omega
+    hi, lo = work.tau / (work.n * work.g2), (work.tau - 1.0) / (work.n * work.g2)
+    U = np.where((q2 > hi) | (q2 < lo), 1.0, 0.0)
+    V = np.where(np.abs(work.g1 * q1) > work.omega, 1.0, 0.0)
     W = (work.X * V) @ work.X.T / work.g1 + np.diag(U / work.g2 + 1e-5)
     assert np.allclose(W, W.T)
     assert np.linalg.eigvalsh(W).min() >= 1e-5 - 1e-12
@@ -212,7 +212,7 @@ def test_newton_fast_on_smooth_instance(monkeypatch):
     pr = QuantileProblem(X, y, tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.full(p, 1e-4))
     work = make_work(spec, gamma1=1.0, gamma2=1.0)
-    u, info = _newton_solve(work, np.zeros(n), 1e-9, PdsnConfig())
+    u, info = _newton_solve(work, np.zeros(n), 1e-9)
     assert info["iters"] <= 3
     assert np.linalg.norm(phi(work, u)) / (1 + np.linalg.norm(y)) <= 1e-9
 
@@ -220,7 +220,7 @@ def test_newton_fast_on_smooth_instance(monkeypatch):
 def test_newton_residual_and_gap(rng):
     spec, _ = make_subproblem(21, 10, 20, lam=0.15)
     work = make_work(spec, gamma1=0.05, gamma2=0.05)
-    u, _ = _newton_solve(work, np.zeros(10), 1e-10, PdsnConfig())
+    u, _ = _newton_solve(work, np.zeros(10), 1e-10)
     res = np.linalg.norm(phi(work, u))
     res /= 1.0 + np.linalg.norm(spec.problem.response)
     assert res <= 1e-8
@@ -249,7 +249,7 @@ def test_newton_monotone_psi(monkeypatch):
         spec, _ = make_subproblem(100 + seed, 10, 20, lam=0.1)
         work = _DualWork(spec, np.zeros(20), 0.05, 0.05)
         psis.clear()
-        _newton_solve(work, np.zeros(10), 1e-9, PdsnConfig())
+        _newton_solve(work, np.zeros(10), 1e-9)
         assert all(psis[i + 1] <= psis[i] + 1e-10 for i in range(len(psis) - 1))
         steps += len(psis) // 2
     assert steps >= 20
@@ -294,9 +294,9 @@ def test_ppa_objective_monotone_trace(monkeypatch):
     spec, _ = make_subproblem(31, 30, 60, lam=0.1)
     tr = []
 
-    def recording(problem, beta, z, u, weights):
+    def recording(problem, beta, u, weights):
         tr.append(spec.objective(beta))
-        return kkt_residual(problem, beta, z, u, weights)
+        return kkt_residual(problem, beta, u, weights)
 
     monkeypatch.setattr(pdsn, "kkt_residual", recording)
     state, report = ppa_solve(spec)
@@ -315,9 +315,10 @@ def test_kkt_residual_zero_at_constructed_point():
     pr = QuantileProblem(X, y, tau=tau)
     u = np.full(n, tau / n)  # z > 0 componentwise
     weights = np.full(n, tau / n)  # X^T u = omega at beta > 0
-    assert kkt_residual(pr, beta, z, u, weights) <= 1e-14
-    # perturbation moves it away from zero
-    assert kkt_residual(pr, beta + 0.1, z, u, weights) > 1e-3
+    assert kkt_residual(pr, beta, u, weights) <= 1e-14
+    # with its signs flipped, beta leaves the optimal set: X^T u is no
+    # weighted-l1 subgradient there (beta + 0.1 still has one, and is optimal)
+    assert kkt_residual(pr, -beta, u, weights) > 1e-3
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,11 +339,13 @@ def test_kkt_residual_zero_at_random_kkt_triples(n, tau, seed):
     beta = np.where(active, np.sign(g) * rng.uniform(0.1, 5.0, n), 0.0)
     weights = np.abs(g) + np.where(active, 0.0, rng.uniform(0.0, 0.3, n))
     pr = QuantileProblem(X, X @ beta + z, tau=tau)
-    assert kkt_residual(pr, beta, z, u, weights) <= 1e-12
+    assert kkt_residual(pr, beta, u, weights) <= 1e-12
+    # one u_i pushed 1/n past the far end of [lo, hi]: it leaves the
+    # check-loss subgradient by at least half the interval's width
+    i = rng.integers(n)
     e = np.zeros(n)
-    e[rng.integers(n)] = rng.uniform(0.05, 1.0)
-    assert kkt_residual(pr, beta + e, z, u, weights) > 1e-6
-    assert kkt_residual(pr, beta, z + e, u, weights) > 1e-6
+    e[i] = 1.0 / n if u[i] >= 0.5 * (lo + hi) else -1.0 / n
+    assert kkt_residual(pr, beta, u + e, weights) > 1e-6
 
 
 def test_cg_branch_matches_dense(monkeypatch):
@@ -363,16 +366,17 @@ def test_ppa_asymmetric_tau_lp_oracle():
     assert report.objective == pytest.approx(lp_oracle(problem, weights), rel=1e-6)
 
 
-def test_ppa_reports_nonconvergence_gracefully():
+def test_ppa_reports_nonconvergence_gracefully(monkeypatch):
     spec, _ = make_subproblem(77, 30, 80, lam=0.02)
-    cfg = PdsnConfig(max_newton_iters=5, max_ppa_iters=4)
-    state, report = ppa_solve(spec, cfg)
+    monkeypatch.setattr(pdsn, "MAX_NEWTON_ITERS", 5)
+    monkeypatch.setattr(pdsn, "MAX_PPA_ITERS", 4)
+    state, report = ppa_solve(spec)
     assert not report.converged
     assert np.all(np.isfinite(state.beta))
     assert report.objective < spec.objective(np.zeros(80)) + 1e-9
 
 
-def _newton_solve_reference(work, u0, tol, cfg):
+def _newton_solve_reference(work, u0, tol, max_iters):
     """The _newton_solve loop that rebuilt Phi and the prox images after every
     step and evaluated Psi again at alpha = 0, kept as the oracle of the loop
     that takes them from the line search's last evaluation."""
@@ -381,18 +385,18 @@ def _newton_solve_reference(work, u0, tol, cfg):
         q2 = work.zj - u / work.g2
         pz = prox_check_loss(q2, work.g2, work.tau, work.n)
         pb = prox_weighted_l1(q1, work.omega, work.g1)
-        return work.y - pz - work.X @ pb, pb, q1, q2
+        return work.y - pz - work.X @ pb, pb, (q1, q2, pz)
 
     u = np.asarray(u0, dtype=float).copy()
     Xtu = work.X.T @ u
     ynorm1 = 1.0 + np.linalg.norm(work.y)
     warn = []
-    phi, pb, q1, q2 = gradient(u, Xtu)
+    phi, pb, (q1, q2, pz) = gradient(u, Xtu)
     iters = 0
-    for iters in range(cfg.max_newton_iters):
+    for iters in range(max_iters):
         if np.linalg.norm(phi) / ynorm1 <= tol:
             break
-        work.q1[:], work.q2[:] = q1, q2  # the Newton matrix at u
+        work.q1[:], work.q2[:], work.pz[:], work.pb[:] = q1, q2, pz, pb  # the Newton matrix at u
         d = work.newton_direction(-phi)
         Xtd = work.X.T @ d
         psi0, dpsi0 = _value_dir_deriv_fresh(work, u, Xtu, d, Xtd)
@@ -406,9 +410,9 @@ def _newton_solve_reference(work, u0, tol, cfg):
             warn.append("line search returned best bisection point")
         u = u + alpha * d
         Xtu = Xtu + alpha * Xtd
-        phi, pb, q1, q2 = gradient(u, Xtu)
+        phi, pb, (q1, q2, pz) = gradient(u, Xtu)
     else:
-        iters = cfg.max_newton_iters
+        iters = max_iters
         warn.append("newton iteration cap reached")
     return u, {"iters": iters, "phi_rel": float(np.linalg.norm(phi) / ynorm1),
                "beta_image": pb, "warnings": warn}
@@ -416,29 +420,35 @@ def _newton_solve_reference(work, u0, tol, cfg):
 
 def test_newton_solve_matches_reference_loop(rng, monkeypatch):
     # every _newton_solve call of whole PPA solves, replayed against the
-    # oracle from the same arguments and workspace (anchors, Newton matrix)
+    # oracle from the same arguments, workspace (anchors, Newton matrix) and
+    # Newton iteration cap
     calls = []
 
-    def recording(work, u0, tol, cfg):
-        calls.append((copy.deepcopy(work), np.array(u0), tol, cfg))
-        return _newton_solve(work, u0, tol, cfg)
+    def recording(work, u0, tol):
+        calls.append((copy.deepcopy(work), np.array(u0), tol, pdsn.MAX_NEWTON_ITERS))
+        return _newton_solve(work, u0, tol)
 
     monkeypatch.setattr(pdsn, "_newton_solve", recording)
     anchored, _ = make_subproblem(7, 30, 60, lam=0.05)
     anchored.anchor = 0.1 * rng.standard_normal(60)
     capped, _ = make_subproblem(77, 30, 80, lam=0.02)
-    runs = [
-        (make_subproblem(3, 30, 80, lam=0.02)[0], PdsnConfig()),  # a best-bisection step
-        (make_subproblem(0, 30, 60, lam=0.1)[0], PdsnConfig()),   # one more, and a step with no progress
-        (anchored, PdsnConfig()),  # a PPA start away from 0
-        (capped, PdsnConfig(max_newton_iters=5, max_ppa_iters=4)),
+    runs = [  # spec, Newton and PPA iteration caps
+        (make_subproblem(3, 30, 80, lam=0.02)[0], 100, 100),  # a best-bisection step
+        (make_subproblem(0, 30, 60, lam=0.1)[0], 100, 100),   # one more, and a step with no progress
+        (anchored, 100, 100),  # a PPA start away from 0
+        (capped, 5, 4),
     ]
-    for spec, cfg in runs:
-        ppa_solve(spec, cfg)
+    for spec, newton_cap, ppa_cap in runs:
+        with monkeypatch.context() as m:
+            m.setattr(pdsn, "MAX_NEWTON_ITERS", newton_cap)
+            m.setattr(pdsn, "MAX_PPA_ITERS", ppa_cap)
+            ppa_solve(spec)
     warnings = []
-    for work, u0, tol, cfg in calls:
-        u, info = _newton_solve(copy.deepcopy(work), u0, tol, cfg)
-        u_ref, ref = _newton_solve_reference(copy.deepcopy(work), u0, tol, cfg)
+    for work, u0, tol, newton_cap in calls:
+        with monkeypatch.context() as m:
+            m.setattr(pdsn, "MAX_NEWTON_ITERS", newton_cap)
+            u, info = _newton_solve(copy.deepcopy(work), u0, tol)
+        u_ref, ref = _newton_solve_reference(copy.deepcopy(work), u0, tol, newton_cap)
         # beta_image too: the sign of its zeros is prox_weighted_l1's
         for got, want in ((u, u_ref), (info["beta_image"], ref["beta_image"]),
                           ([info["phi_rel"]], [ref["phi_rel"]])):

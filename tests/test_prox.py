@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqreg import (
-    clarke_jacobian_check_loss_prox,
-    clarke_jacobian_weighted_l1_prox,
-    moreau_env_check_loss,
-    moreau_env_weighted_l1,
-    prox_check_loss,
-    prox_weighted_l1,
-)
+from sqreg import QuantileProblem, SubproblemSpec, prox_check_loss, prox_weighted_l1
+from sqreg.pdsn import _DualWork
 
 
 def golden_min(obj, lo, hi, iters=110):
@@ -36,6 +32,32 @@ def wl1_objective(z, omega, gamma):
 
 def chk_objective(z, gamma, tau, n):
     return lambda t: (tau - (t <= 0)) * t / n + 0.5 * gamma * (t - z) ** 2
+
+
+def moreau_env_weighted_l1(z, omega, gamma):
+    """Envelope min_t  sum_i omega_i|t_i| + (gamma/2)||t - z||^2, at the prox."""
+    p = prox_weighted_l1(z, omega, gamma)
+    return float(np.sum(omega * np.abs(p)) + 0.5 * gamma * np.sum((p - z) ** 2))
+
+
+def moreau_env_check_loss(z, gamma, tau, n):
+    """Envelope min_t  (1/n) sum_i theta_tau(t_i) + (gamma/2)||t - z||^2, at the prox."""
+    p = prox_check_loss(z, gamma, tau, n)
+    return float(np.sum((tau - (p <= 0)) * p) / n + 0.5 * gamma * np.sum((p - z) ** 2))
+
+
+def newton_pattern(q2, q1, omega, gamma, tau):
+    """The 0/1 diagonals (U, V) of the Newton matrix, (pz != 0, pb != 0),
+    after the dual workspace evaluates at the prox arguments q2 (check loss)
+    and q1 (weighted l1) with gamma1 = gamma2 = gamma. The anchors are 0, so
+    value at u = -gamma q2, X^T u = -gamma q1 leaves q2 and q1 as they are
+    when gamma is a power of two."""
+    q2, q1 = np.asarray(q2, float), np.asarray(q1, float)
+    pr = QuantileProblem(np.ones((q2.size, q1.size)), np.zeros(q2.size), tau=tau)
+    work = _DualWork(SubproblemSpec(problem=pr, weights=omega), np.zeros(q1.size), gamma, gamma)
+    work.value(-gamma * q2, -gamma * q1)
+    assert np.array_equal(work.q2, q2) and np.array_equal(work.q1, q1)
+    return work.pz != 0.0, work.pb != 0.0
 
 
 def test_prox_weighted_l1_values():
@@ -145,23 +167,41 @@ def test_weighted_l1_optimality_certificate(rng):
 
 
 def test_jacobian_check_loss():
-    assert clarke_jacobian_check_loss_prox(np.array([2.0]), 1.0, 0.5, 1)[0] == 1.0
-    assert clarke_jacobian_check_loss_prox(np.array([0.0]), 1.0, 0.5, 1)[0] == 0.0
-    assert clarke_jacobian_check_loss_prox(np.array([0.5]), 1.0, 0.5, 1)[0] == 0.0  # at the kink
+    # n = 1, gamma = 1, tau = 0.5: kinks at 0.5 and -0.5
+    for q2, want in ((2.0, True), (0.0, False), (0.5, False)):  # the last at the kink
+        U, _ = newton_pattern([q2], [0.0], np.zeros(1), 1.0, 0.5)
+        assert U[0] == want, q2
 
 
 def test_jacobian_weighted_l1():
-    assert clarke_jacobian_weighted_l1_prox(np.array([3.0]), np.array([1.0]), 1.0)[0] == 1.0
-    assert clarke_jacobian_weighted_l1_prox(np.array([0.5]), np.array([1.0]), 1.0)[0] == 0.0
-    kink = clarke_jacobian_weighted_l1_prox(np.array([1.0]), np.array([1.0]), 1.0)
-    assert kink[0] == 0.0
+    _, V = newton_pattern([0.0], [3.0, 0.5, 1.0], np.ones(3), 1.0, 0.5)
+    assert V.tolist() == [True, False, False]  # the last at the kink |gamma q1| = omega
 
 
-def test_jacobian_diag_valid(rng):
-    for _ in range(20):
-        z = rng.standard_normal(9)
-        omega = rng.uniform(0, 2, 9)
-        d1 = clarke_jacobian_weighted_l1_prox(z, omega, 1.1)
-        d2 = clarke_jacobian_check_loss_prox(z, 1.1, 0.4, 9)
-        for d in (d1, d2):
-            assert np.all((d >= 0.0) & (d <= 1.0))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_jacobian_diag_valid(data):
+    # the Newton matrix's diagonals are the textbook Clarke elements of the
+    # two prox maps: U = 1 where q2 lies outside [(tau-1)/(n gamma),
+    # tau/(n gamma)], V = 1 where |gamma q1| > omega, and 0 on the kinks.
+    # gamma is a power of two, so that omega/gamma and gamma q1 are exact;
+    # for other gammas the two roundings may disagree within one unit of a
+    # kink, where both 0 and 1 are Clarke elements. Weights and points are
+    # 0 or far from subnormal, so that no scaling by gamma rounds
+    n, p = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    factor = st.floats(-3.0, 3.0).filter(lambda f: f == 0.0 or abs(f) >= 1e-12)
+    tau = data.draw(st.floats(0.05, 0.95))
+    gamma = 2.0 ** data.draw(st.integers(-8, 8))
+    omega = np.array(data.draw(st.lists(st.one_of(st.just(0.0), factor.map(abs)),
+                                        min_size=p, max_size=p)))
+    hi, lo = tau / (n * gamma), (tau - 1.0) / (n * gamma)
+    q2 = [data.draw(st.one_of(st.sampled_from([lo, hi, 0.0, -0.0]),
+                              factor.map(lambda f: f / (n * gamma))))
+          for _ in range(n)]
+    q1 = [data.draw(st.one_of(st.sampled_from([w / gamma, -w / gamma, 0.0, -0.0]),
+                              factor.map(lambda f: f / gamma)))
+          for w in omega]
+    U, V = newton_pattern(q2, q1, omega, gamma, tau)
+    q2, q1 = np.array(q2), np.array(q1)
+    assert np.array_equal(U, (q2 > hi) | (q2 < lo))
+    assert np.array_equal(V, np.abs(gamma * q1) > omega)

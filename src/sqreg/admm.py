@@ -46,10 +46,6 @@ class AdmmState:
     beta: np.ndarray
     z: np.ndarray
     u: np.ndarray
-    sigma: float
-    eps_pinf: float
-    eps_dinf: float
-    eps_gap: float
 
 
 def admm_beta_update(beta, s, spec, sigma, gamma_prox):
@@ -159,16 +155,13 @@ def admm_solve(spec, cfg=None, z0=None, u0=None):
     if not converged and acc_count > 0:
         beta = beta_acc / acc_count  # ergodic output at the iteration cap
         z = admm_z_update(X @ beta, u, spec, sigma)
-    state = AdmmState(beta=beta, z=z, u=u, sigma=sigma,
-                      eps_pinf=eps_pinf, eps_dinf=eps_dinf, eps_gap=eps_gap)
     report = SolverReport(
         converged=converged,
         iterations=j,
         objective=spec.objective(beta),
         residuals={"eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap},
         wall_ms=(time.perf_counter() - t0) * 1e3,
-        solver="admm",
         inner_iterations=j,
         warnings=[] if converged else ["iteration cap reached"],
     )
-    return state, report
+    return AdmmState(beta=beta, z=z, u=u), report

@@ -1,7 +1,7 @@
 """Multi-stage convex relaxation driver.
 
 Each stage solves the weighted-l1 check-loss subproblem with weights
-lambda (1 - w^{k-1}) (intercept unpenalized by default), updates the penalty
+lambda (1 - w^{k-1}) (zero for an intercept column), updates the penalty
 level rho_k on its schedule, recomputes the weights w^k in closed form, and
 measures the stage KKT residual of the coupled penalized problem. Stages stop
 when the nonzero count and the residual stabilize.
@@ -40,7 +40,6 @@ class MscraConfig:
     stage_tol: float = 1e-5
     err_change_tol: float = 1e-6
     rho_freeze: float = None
-    penalize_intercept: bool = False
 
     def __post_init__(self):
         if (self.lam is None) == (self.nu is None):
@@ -141,25 +140,27 @@ def _solve_stage(spec, cfg, warm):
 def mscra_fit(problem, cfg):
     """Run the multi-stage relaxation; returns (final StageState, history).
 
-    Stage weights fed to the solver are lambda (1 - w^{k-1}); the solver is
-    warm started with the previous stage's solution. Termination: nonzero
-    count stable over 4 stages with Err_k <= stage_tol; or stable over
-    3 stages with |Err_k - Err_{k-2}| <= err_change_tol; or max_stages.
+    Stage weights fed to the solver are lambda (1 - w^{k-1}), zero for an
+    intercept column; the solver is warm started with the previous stage's
+    solution. Termination: nonzero count stable over 4 stages with
+    Err_k <= stage_tol; or stable over 3 stages with
+    |Err_k - Err_{k-2}| <= err_change_tol; or max_stages.
     """
     problem = problem.with_tau(cfg.tau)
-    p = problem.p
-    w = np.zeros(p)
-    beta = np.zeros(p)
+
+    def stage_weights(w):
+        omega = cfg.lam * (1.0 - w)
+        if problem.intercept_column:
+            omega[0] = 0.0
+        return omega
+
+    omega = stage_weights(np.zeros(problem.p))
+    beta = np.zeros(problem.p)
     rho = 1.0 if cfg.rho_freeze is None else float(cfg.rho_freeze)
     warm = None
     history = []
-    errs = {}
-    nnzs = {}
     reason = "max_stages"
     for k in range(1, cfg.max_stages + 1):
-        omega = cfg.lam * (1.0 - w)
-        if problem.intercept_column and not cfg.penalize_intercept:
-            omega[0] = 0.0
         spec = SubproblemSpec(problem=problem, weights=omega, anchor=beta)
         try:
             beta, warm, report = _solve_stage(spec, cfg, warm)
@@ -170,22 +171,18 @@ def mscra_fit(problem, cfg):
         else:
             degenerate = False
         w = np.asarray(cfg.surrogate.w_update(rho, np.abs(beta)), dtype=float)
-        if problem.intercept_column and not cfg.penalize_intercept:
-            w[0] = 1.0  # intercept weight stays zero next stage
-        omega_k = cfg.lam * (1.0 - w)
-        err_k = stage_kkt_residual(problem, beta, warm[1], omega_k)
-        nnz = nonzero_count(beta)
-        stage = StageState(k=k, beta=beta, w=w, rho=rho, err_k=err_k, nnz=nnz,
+        omega = stage_weights(w)  # the next stage's weights
+        err_k = stage_kkt_residual(problem, beta, warm[1], omega)
+        stage = StageState(k=k, beta=beta, w=w, rho=rho, err_k=err_k, nnz=nonzero_count(beta),
                            solver_report=report)
         history.append(stage)
-        errs[k] = err_k
-        nnzs[k] = nnz
         if degenerate:
             stage.solver_report.warnings.append("degenerate stage-1 fit (beta = 0)")
-        if k >= 4 and len({nnzs[i] for i in (k, k - 1, k - 2, k - 3)}) == 1 and err_k <= cfg.stage_tol:
+        if k >= 4 and len({s.nnz for s in history[-4:]}) == 1 and err_k <= cfg.stage_tol:
             reason = "stable_nnz_and_kkt"
             break
-        if k >= 3 and len({nnzs[i] for i in (k, k - 1, k - 2)}) == 1 and abs(errs[k] - errs[k - 2]) <= cfg.err_change_tol:
+        if (k >= 3 and len({s.nnz for s in history[-3:]}) == 1
+                and abs(err_k - history[-3].err_k) <= cfg.err_change_tol):
             reason = "stable_nnz_and_err_change"
             break
     final = history[-1]

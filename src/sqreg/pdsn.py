@@ -4,7 +4,7 @@ check-loss subproblem
     min_beta  f_tau(y - X beta) + sum_i omega_i |beta_i|.
 
 The outer loop is a proximal point algorithm whose j-th step minimizes the
-objective plus (gamma1/2)||beta - beta^j||^2 + (gamma2/2)||X(beta - beta^j)||^2.
+objective plus (gamma/2)(||beta - beta^j||^2 + ||X(beta - beta^j)||^2).
 Each step is solved by a semismooth Newton method on the smooth convex dual
 Psi, whose gradient Phi is assembled from the two proximal maps.
 """
@@ -19,11 +19,11 @@ from .problem import check_loss
 from .prox import prox_check_loss, prox_weighted_l1
 from .report import SolverReport
 
-# Reference configuration. The proximal weights start at gamma_1 = gamma_2 =
-# max(min(0.1, R0), GAMMA_FLOOR) with R0 the initial KKT residual and shrink
-# together by SHRINK per accepted PPA step down to GAMMA_FLOOR. The PPA tolerance starts at EPS_PPA_0
-# and drops tenfold per step to EPS_PPA_FLOOR; each inner Newton solve stops
-# at NEWTON_TOL_FACTOR times it. A solve makes at most MAX_PPA_ITERS PPA steps
+# Reference configuration. The proximal weight starts at gamma =
+# max(min(0.1, R0), GAMMA_FLOOR) with R0 the initial KKT residual and shrinks
+# by SHRINK per accepted PPA step down to GAMMA_FLOOR. The PPA tolerance
+# starts at EPS_PPA_0 and drops tenfold per step to EPS_PPA_FLOOR; each inner
+# Newton solve stops at NEWTON_TOL_FACTOR times it. A solve makes at most MAX_PPA_ITERS PPA steps
 # of at most MAX_NEWTON_ITERS Newton steps each.
 GAMMA_FLOOR = 1e-8
 SHRINK = 5.0 / 7.0
@@ -75,7 +75,6 @@ class SubproblemSpec:
 class PdsnState:
     beta: np.ndarray
     u: np.ndarray
-    err_ppa: float
 
 
 def kkt_residual(problem, beta, u, weights):
@@ -97,28 +96,29 @@ def kkt_residual(problem, beta, u, weights):
 
 class _DualWork:
     """Dual workspace of one PPA solve: the data, the current PPA step's
-    anchors (beta^j, z^j) and gammas (see anchor), buffers, and the Newton
-    matrix state that newton_direction keeps across Newton and PPA steps.
+    anchors (beta^j, z^j) and proximal weight gamma (see anchor), buffers,
+    and the Newton matrix state that newton_direction keeps across Newton
+    and PPA steps.
 
     The two prox arguments are evaluated as one stacked (n+p) vector, the z
-    block first, then the beta block: q = anchor - (u; X^T u) / divisor,
+    block first, then the beta block: q = anchor - (u; X^T u) / gamma,
     clipped to [lower, upper] elementwise. ``q2, q1``, ``pz, pb`` and
     ``zj, bj`` are the blocks of the stacked buffers.
     """
 
-    def __init__(self, spec, beta_anchor, gamma1, gamma2):
+    def __init__(self, spec, beta_anchor, gamma):
         pr = spec.problem
         self.X = pr.design
         self.y = pr.response
         self.n, self.p = pr.n, pr.p
         self.tau = pr.tau
         self.omega = spec.weights
-        # stacked: the anchors (z^j; beta^j), divisors (g2; g1) and clip
-        # bounds of the prox arguments, and the prox arguments q, their clips
-        # and images q - clip at the last evaluated point (see value)
+        # stacked: the anchors (z^j; beta^j) and clip bounds of the prox
+        # arguments, and the prox arguments q, their clips and images
+        # q - clip at the last evaluated point (see value)
         m = self.n + self.p
-        self._anc, self._div, self._lo, self._hi, self._q, self._c, self._img, self._v = (
-            np.empty(m) for _ in range(8))
+        self._anc, self._lo, self._hi, self._q, self._c, self._img, self._v = (
+            np.empty(m) for _ in range(7))
         self._le = np.empty(self.n, dtype=bool)
         self._bind_blocks()
         # Newton matrix: the active mask J of the last dense solve, the
@@ -126,7 +126,7 @@ class _DualWork:
         # matrix W and the count of columns updated since W0 was built
         self.mask = self.W0 = self.W = None
         self.updates = 0
-        self.anchor(beta_anchor, gamma1, gamma2)
+        self.anchor(beta_anchor, gamma)
 
     def _bind_blocks(self):
         """Bind the block views of the stacked buffers as attributes, so that
@@ -142,23 +142,22 @@ class _DualWork:
         self.__dict__.update(state)
         self._bind_blocks()
 
-    def anchor(self, beta_anchor, gamma1, gamma2):
-        """Start a PPA step at beta^j = beta_anchor, z^j = y - X beta^j."""
+    def anchor(self, beta_anchor, gamma):
+        """Start a PPA step with weight gamma at beta^j = beta_anchor,
+        z^j = y - X beta^j."""
         n = self.n
         self.bj[:] = beta_anchor
         np.subtract(self.y, self.X @ self.bj, out=self.zj)
-        self.g1 = float(gamma1)
-        self.g2 = float(gamma2)
-        self.hi2 = self.tau / (self.n * self.g2)
-        self.lo2 = (self.tau - 1.0) / (self.n * self.g2)
-        self._div[:n], self._div[n:] = self.g2, self.g1
+        self.g = float(gamma)
+        self.hi2 = self.tau / (self.n * self.g)
+        self.lo2 = (self.tau - 1.0) / (self.n * self.g)
         self._lo[:n], self._hi[:n] = self.lo2, self.hi2
-        np.divide(self.omega, self.g1, out=self._hi[n:])
+        np.divide(self.omega, self.g, out=self._hi[n:])
         np.negative(self._hi[n:], out=self._lo[n:])
 
     def value(self, u, Xtu):
-        """Psi(u), leaving the prox arguments q1 = beta^j - X^T u/g1,
-        q2 = z^j - u/g2 and the images pz = q2 - clip(q2, lo, hi),
+        """Psi(u), leaving the prox arguments q1 = beta^j - X^T u/g,
+        q2 = z^j - u/g and the images pz = q2 - clip(q2, lo, hi),
         pb = q1 - clip(q1, -thr, thr) (box-projection identities) in the
         buffers ``self.q1``, ``self.q2``, ``self.pz``, ``self.pb``, which the
         next call overwrites.
@@ -171,15 +170,15 @@ class _DualWork:
     def _value(self, v, u, Xtu):
         """value at the stacked point v = (u; Xtu), whose blocks are u and Xtu."""
         q, c, cz, cb, pz = self._q, self._c, self._cz, self._cb, self.pz
-        np.subtract(self._anc, np.divide(v, self._div, out=q), out=q)
+        np.subtract(self._anc, np.divide(v, self.g, out=q), out=q)
         np.minimum(np.maximum(q, self._lo, out=c), self._hi, out=c)
         np.subtract(q, c, out=self._img)
         cz2, cb2 = float(cz.dot(cz)), float(cb.dot(cb))
         # cz and cb are free again: they hold tau - (pz <= 0) and |pb|
         wz = np.subtract(self.tau, np.less_equal(pz, 0, out=self._le), out=cz)
-        env_f = float(wz.dot(pz)) / self.n + 0.5 * self.g2 * cz2
-        env_h = float(self.omega.dot(np.abs(self.pb, out=cb))) + 0.5 * self.g1 * cb2
-        quad = 0.5 * float(u.dot(u)) / self.g2 + 0.5 * float(Xtu.dot(Xtu)) / self.g1
+        env_f = float(wz.dot(pz)) / self.n + 0.5 * self.g * cz2
+        env_h = float(self.omega.dot(np.abs(self.pb, out=cb))) + 0.5 * self.g * cb2
+        quad = 0.5 * float(u.dot(u)) / self.g + 0.5 * float(Xtu.dot(Xtu)) / self.g
         return quad - env_f - env_h
 
     def dir_deriv(self, d, Xtd):
@@ -226,17 +225,17 @@ class _DualWork:
         return Xa @ Xa.T
 
     def newton_direction(self, rhs):
-        """Solve (gamma2^{-1} U + gamma1^{-1} X V X^T + mu I) d = rhs.
+        """Solve (gamma^{-1} (U + X V X^T) + mu I) d = rhs.
 
         U, V are the 0/1 diagonal Clarke elements of the two prox maps at the
         prox arguments q2, q1 that value left: U = (pz != 0), 1 where q2 lies
         strictly outside [lo2, hi2], and V = (pb != 0), 1 where |q1| >
-        omega/g1. mu = NEWTON_MU. The dense path keeps W0 =
+        omega/g. mu = NEWTON_MU. The dense path keeps W0 =
         X_J X_J^T across calls and rank-updates it when the active set J
         changes by a few columns, rebuilding it after many; it assembles the
         scaled matrix in the buffer W.
         """
-        dvec = (self.pz != 0.0) / self.g2 + NEWTON_MU
+        dvec = (self.pz != 0.0) / self.g + NEWTON_MU
         mask = self.pb != 0.0
         if self.n > DENSE_SOLVE_MAX_N:
             from scipy.sparse.linalg import LinearOperator, cg  # deferred: a slow import
@@ -244,10 +243,10 @@ class _DualWork:
             Xa = self.X[:, mask]
 
             def matvec(v):
-                return dvec * v + (Xa @ (Xa.T @ v)) / self.g1
+                return dvec * v + (Xa @ (Xa.T @ v)) / self.g
 
             op = LinearOperator((self.n, self.n), matvec=matvec)
-            jacobi = dvec + np.sum(Xa**2, axis=1) / self.g1
+            jacobi = dvec + np.sum(Xa**2, axis=1) / self.g
             pre = LinearOperator((self.n, self.n), matvec=lambda v: v / jacobi)
             sol, info = cg(op, rhs, rtol=CG_TOL, atol=0.0, M=pre, maxiter=10 * self.n)
             if info != 0:
@@ -275,7 +274,7 @@ class _DualWork:
                         Xr = self.X[:, removed]
                         self.W0 -= Xr @ Xr.T
         self.mask = mask
-        W = np.divide(self.W0, self.g1, out=self.W)
+        W = np.divide(self.W0, self.g, out=self.W)
         W.flat[:: self.n + 1] += dvec
         return np.linalg.solve(W, rhs)
 
@@ -391,8 +390,8 @@ def ppa_solve(spec, u0=None):
         (u in the subgradient of f_tau at z = y - X beta).
 
     The gamma and eps schedules and the iteration caps are the module
-    constants (gamma_{1,0} = gamma_{2,0} = min(0.1, R0), shrink 5/7, floor
-    1e-8, eps schedule 1e-6 -> max(EPS_PPA_FLOOR, eps/10)).
+    constants (gamma_0 = min(0.1, R0), shrink 5/7, floor 1e-8, eps schedule
+    1e-6 -> max(EPS_PPA_FLOOR, eps/10)).
     """
     pr = spec.problem
     t0 = time.perf_counter()
@@ -400,7 +399,7 @@ def ppa_solve(spec, u0=None):
     beta = np.asarray(spec.anchor, dtype=float).copy()
     u_kkt = np.zeros(pr.n) if u0 is None else np.asarray(u0, dtype=float).copy()
     err = kkt_residual(pr, beta, u_kkt, spec.weights)
-    gamma = max(min(0.1, err), GAMMA_FLOOR)  # gamma_1 = gamma_2 throughout
+    gamma = max(min(0.1, err), GAMMA_FLOOR)
     eps = EPS_PPA_0
     u_psi = -u_kkt
     total_newton = 0
@@ -410,7 +409,7 @@ def ppa_solve(spec, u0=None):
     last_phi_rel = float("nan")
     cur_obj = spec.objective(beta)
     stalls = 0
-    work = _DualWork(spec, beta, gamma, gamma)
+    work = _DualWork(spec, beta, gamma)
     while not converged and ppa_iters < MAX_PPA_ITERS:
         u_psi, info = _newton_solve(work, u_psi, NEWTON_TOL_FACTOR * eps)
         total_newton += info["iters"]
@@ -440,16 +439,14 @@ def ppa_solve(spec, u0=None):
             break
         eps = max(EPS_PPA_FLOOR, 0.1 * eps)
         gamma = max(GAMMA_FLOOR, SHRINK * gamma)
-        work.anchor(beta, gamma, gamma)
-    state = PdsnState(beta=beta, u=u_kkt, err_ppa=err)
+        work.anchor(beta, gamma)
     report = SolverReport(
         converged=bool(converged),
         iterations=ppa_iters,
-        objective=spec.objective(beta),
+        objective=cur_obj,
         residuals={"err_ppa": err, "phi_rel": last_phi_rel if np.isfinite(last_phi_rel) else 0.0},
         wall_ms=(time.perf_counter() - t0) * 1e3,
-        solver="pdsn",
         inner_iterations=total_newton,
         warnings=warnings,
     )
-    return state, report
+    return PdsnState(beta=beta, u=u_kkt), report

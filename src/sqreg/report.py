@@ -12,7 +12,6 @@ class SolverReport:
     objective: float
     residuals: dict
     wall_ms: float
-    solver: str = ""
     inner_iterations: int = 0
     warnings: list = field(default_factory=list)
 

@@ -75,7 +75,8 @@ def test_c1_prox_oracle_equivalence():
 
 def test_c2_dual_gradient():
     """grad Psi equals Phi by central differences (rel 1e-5), 100 points on
-    10 random instances with n=20, p=50."""
+    10 random instances with n=20, p=50, each at proximal weights 0.06 and
+    0.03."""
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(10):
@@ -86,18 +87,20 @@ def test_c2_dual_gradient():
         y = X @ beta + 0.2 * rng.standard_normal(20)
         pr = QuantileProblem(X, y, tau=float(rng.uniform(0.2, 0.8)))
         spec = SubproblemSpec(problem=pr, weights=rng.uniform(0.0, 0.3, 50))
-        work = _DualWork(spec, 0.1 * rng.standard_normal(50), 0.06, 0.03)
+        anchor = 0.1 * rng.standard_normal(50)
+        works = [_DualWork(spec, anchor, gamma) for gamma in (0.06, 0.03)]
         for _ in range(10):
             u = 0.05 * rng.standard_normal(20)
-            phi, *_ = work.gradient(u, X.T @ u)
-            h = 1e-6
-            scale = max(1.0, np.max(np.abs(phi)))
-            for i in range(20):
-                e = np.zeros(20)
-                e[i] = h
-                up = work.value(u + e, X.T @ (u + e))
-                dn = work.value(u - e, X.T @ (u - e))
-                worst = max(worst, abs((up - dn) / (2 * h) - phi[i]) / scale)
+            for work in works:
+                phi, *_ = work.gradient(u, X.T @ u)
+                h = 1e-6
+                scale = max(1.0, np.max(np.abs(phi)))
+                for i in range(20):
+                    e = np.zeros(20)
+                    e[i] = h
+                    up = work.value(u + e, X.T @ (u + e))
+                    dn = work.value(u - e, X.T @ (u - e))
+                    worst = max(worst, abs((up - dn) / (2 * h) - phi[i]) / scale)
     wall = time.perf_counter() - t0
     assert worst <= 1e-5
     assert wall < 30.0

@@ -101,7 +101,7 @@ def test_admm_matches_pdsn(rng):
 def test_admm_gap_decreases_small_instance():
     spec, _ = make_subproblem(8, 25, 10, lam=0.3)
     state, report = admm_solve(spec, AdmmConfig(j_max=3000))
-    assert report.converged and state.eps_gap <= 1e-6
+    assert report.converged and report.residuals["eps_gap"] <= 1e-6
 
 
 def test_weak_duality_along_iterates():
@@ -165,7 +165,7 @@ def test_zeta_zero_at_fixed_point():
     spec, _ = make_subproblem(13, 15, 6, lam=0.3)
     state, report = admm_solve(spec, AdmmConfig(j_max=50000, eps_admm=1e-9))
     assert report.converged
-    assert max(state.eps_pinf, state.eps_dinf) <= 1e-9
+    assert max(report.residuals["eps_pinf"], report.residuals["eps_dinf"]) <= 1e-9
 
 
 def _admm_solve_reference(spec, cfg, z0=None, u0=None):
@@ -226,12 +226,11 @@ def _admm_solve_reference(spec, cfg, z0=None, u0=None):
     if not converged and acc_count > 0:
         beta = beta_acc / acc_count
         z = admm_z_update(X @ beta, u, spec, sigma)
-    state = AdmmState(beta=beta, z=z, u=u, sigma=sigma,
-                      eps_pinf=eps_pinf, eps_dinf=eps_dinf, eps_gap=eps_gap)
+    state = AdmmState(beta=beta, z=z, u=u)
     report = SolverReport(
         converged=converged, iterations=j, objective=spec.objective(beta),
         residuals={"eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap},
-        wall_ms=0.0, solver="admm", inner_iterations=j,
+        wall_ms=0.0, inner_iterations=j,
         warnings=[] if converged else ["iteration cap reached"],
     )
     return state, report

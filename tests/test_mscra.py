@@ -198,7 +198,8 @@ def test_intercept_unpenalized():
     pr = QuantileProblem(X, y, tau=0.5, intercept_column=True)
     final, _ = mscra_fit(pr, MscraConfig(tau=0.5, lam=0.3))
     assert abs(final.beta[0]) > 1.0  # intercept survives heavy penalization
-    penalized, _ = mscra_fit(pr, MscraConfig(tau=0.5, lam=0.3, penalize_intercept=True))
+    # the same data with column 0 as an ordinary, penalized covariate
+    penalized, _ = mscra_fit(QuantileProblem(X, y, tau=0.5), MscraConfig(tau=0.5, lam=0.3))
     assert abs(penalized.beta[0]) < abs(final.beta[0]) + 1e-9
 
 

@@ -21,10 +21,10 @@ from sqreg.pdsn import _DualWork, _newton_solve, _strong_wolfe
 from conftest import make_problem, make_subproblem
 
 
-def make_work(spec, beta=None, gamma1=0.05, gamma2=0.05):
+def make_work(spec, beta=None, gamma=0.05):
     """Dual pieces of the PPA step anchored at beta (default 0)."""
     beta = np.zeros(spec.problem.p) if beta is None else beta
-    return _DualWork(spec, beta, gamma1, gamma2)
+    return _DualWork(spec, beta, gamma)
 
 
 def psi(work, u):
@@ -49,23 +49,24 @@ def test_dual_gradient_finite_difference(rng):
     for seed in range(3):
         spec, _ = make_subproblem(seed, 12, 25, lam=0.15)
         anchor = None if seed == 0 else 0.1 * rng.standard_normal(25)  # PPA anchors away from 0 too
-        work = make_work(spec, beta=anchor, gamma1=0.07, gamma2=0.04)
+        works = [make_work(spec, beta=anchor, gamma=gamma) for gamma in (0.07, 0.04)]
         for _ in range(4):
             u = 0.05 * rng.standard_normal(12)
-            grad = phi(work, u)
-            h = 1e-6
-            for i in range(12):
-                e = np.zeros(12)
-                e[i] = h
-                fd = (psi(work, u + e) - psi(work, u - e)) / (2 * h)
-                assert abs(fd - grad[i]) <= 1e-5 * max(1.0, abs(grad[i]))
+            for work in works:
+                grad = phi(work, u)
+                h = 1e-6
+                for i in range(12):
+                    e = np.zeros(12)
+                    e[i] = h
+                    fd = (psi(work, u + e) - psi(work, u - e)) / (2 * h)
+                    assert abs(fd - grad[i]) <= 1e-5 * max(1.0, abs(grad[i]))
 
 
 def test_dual_residual_trivial_instance():
     # n=p=1, X=1, y=0, weights 0, anchors 0: Phi(0) = 0
     pr = QuantileProblem(np.array([[1.0]]), np.array([0.0]), tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.zeros(1))
-    work = make_work(spec, gamma1=1.0, gamma2=1.0)
+    work = make_work(spec, gamma=1.0)
     assert phi(work, np.zeros(1))[0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -82,16 +83,16 @@ def test_dual_objective_convex(rng):
 def _value_dir_deriv_fresh(work, u, Xtu, d, Xtd):
     """(Psi(u), <grad Psi(u), d>) in fresh arrays through np.clip, the form
     the buffered evaluator replaced."""
-    g1, g2 = work.g1, work.g2
-    q1, q2 = work.bj - Xtu / g1, work.zj - u / g2
+    g = work.g
+    q1, q2 = work.bj - Xtu / g, work.zj - u / g
     cz = np.clip(q2, work.lo2, work.hi2)
     pz = q2 - cz
-    thr1 = work.omega / g1
+    thr1 = work.omega / g
     cb = np.clip(q1, -thr1, thr1)
     pb = q1 - cb
-    env_f = float((work.tau - (pz <= 0)) @ pz) / work.n + 0.5 * g2 * float(cz @ cz)
-    env_h = float(work.omega @ np.abs(pb)) + 0.5 * g1 * float(cb @ cb)
-    quad = 0.5 * float(u @ u) / g2 + 0.5 * float(Xtu @ Xtu) / g1
+    env_f = float((work.tau - (pz <= 0)) @ pz) / work.n + 0.5 * g * float(cz @ cz)
+    env_h = float(work.omega @ np.abs(pb)) + 0.5 * g * float(cb @ cb)
+    quad = 0.5 * float(u @ u) / g + 0.5 * float(Xtu @ Xtu) / g
     return quad - env_f - env_h, float((work.y - pz) @ d - pb @ Xtd)
 
 
@@ -105,28 +106,29 @@ def test_line_evaluator_bit_identical(rng):
     spec = SubproblemSpec(problem=QuantileProblem(X, y, tau=0.3), weights=weights)
     beta = 0.2 * rng.standard_normal(p)
     beta[3] = -0.0
-    work = make_work(spec, beta, gamma1=0.07, gamma2=0.04)
     u, d = 0.05 * rng.standard_normal(n), rng.standard_normal(n)
     Xtu, Xtd = X.T @ u, X.T @ d
     hexes = lambda pair: tuple(float(v).hex() for v in pair)
-    ev = work.along(u, Xtu, d, Xtd)
-    # a1, a2, a1: a repeat must not see state left by the call before it
-    for a in (0.0, 0.37, 2.5, 0.37, 1.0, 1e-3):
-        ua, Xtua = u + a * d, Xtu + a * Xtd
-        want = hexes(_value_dir_deriv_fresh(work, ua, Xtua, d, Xtd))
-        assert hexes(ev(a)) == want
-        assert float(work.value(ua, Xtua)).hex() == want[0]
-        assert float(work.dir_deriv(d, Xtd)).hex() == want[1]
-    # a non-finite dual value stops the search
-    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-        ev(np.inf)
+    for gamma in (0.07, 0.04):
+        work = make_work(spec, beta, gamma=gamma)
+        ev = work.along(u, Xtu, d, Xtd)
+        # a1, a2, a1: a repeat must not see state left by the call before it
+        for a in (0.0, 0.37, 2.5, 0.37, 1.0, 1e-3):
+            ua, Xtua = u + a * d, Xtu + a * Xtd
+            want = hexes(_value_dir_deriv_fresh(work, ua, Xtua, d, Xtd))
+            assert hexes(ev(a)) == want
+            assert float(work.value(ua, Xtua)).hex() == want[0]
+            assert float(work.dir_deriv(d, Xtd)).hex() == want[1]
+        # a non-finite dual value stops the search
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            ev(np.inf)
 
 
 def test_dual_work_copy_evaluates_alike(rng):
     # a copy's prox arguments and images are views of its own stacked
     # buffers: it evaluates as the original does and leaves the original be
     spec, _ = make_subproblem(5, 12, 25, lam=0.1)
-    work = make_work(spec, 0.1 * rng.standard_normal(25), gamma1=0.07, gamma2=0.04)
+    work = make_work(spec, 0.1 * rng.standard_normal(25), gamma=0.07)
     twin = copy.deepcopy(work)
     u, d = 0.05 * rng.standard_normal(12), rng.standard_normal(12)
     Xtu, Xtd = work.X.T @ u, work.X.T @ d
@@ -147,13 +149,13 @@ def test_newton_matrix_structure(rng):
     u = 0.1 * rng.standard_normal(8)
     work.value(u, work.X.T @ u)  # leaves the prox arguments in work.q1, work.q2
     q1, q2 = work.q1, work.q2
-    # dense reference W = gamma2^{-1} U + gamma1^{-1} X V X^T + mu I, mu = 1e-5,
-    # with the Clarke elements U = 1 outside the check-loss kinks and V = 1
-    # where |gamma1 q1| > omega
-    hi, lo = work.tau / (work.n * work.g2), (work.tau - 1.0) / (work.n * work.g2)
+    # dense reference W = gamma^{-1} (U + X V X^T) + mu I, mu = 1e-5, with
+    # the Clarke elements U = 1 outside the check-loss kinks and V = 1 where
+    # |gamma q1| > omega
+    hi, lo = work.tau / (work.n * work.g), (work.tau - 1.0) / (work.n * work.g)
     U = np.where((q2 > hi) | (q2 < lo), 1.0, 0.0)
-    V = np.where(np.abs(work.g1 * q1) > work.omega, 1.0, 0.0)
-    W = (work.X * V) @ work.X.T / work.g1 + np.diag(U / work.g2 + 1e-5)
+    V = np.where(np.abs(work.g * q1) > work.omega, 1.0, 0.0)
+    W = (work.X * V) @ work.X.T / work.g + np.diag(U / work.g + 1e-5)
     assert np.allclose(W, W.T)
     assert np.linalg.eigvalsh(W).min() >= 1e-5 - 1e-12
     # dense reference vs structured assembly used by the solver
@@ -165,10 +167,10 @@ def test_newton_matrix_structure(rng):
 def test_newton_matrix_empty_active_set():
     pr = QuantileProblem(np.eye(3), np.array([5.0, -4.0, 3.0]), tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.full(3, 1e3))
-    work = make_work(spec, gamma1=1.0, gamma2=1.0)
+    work = make_work(spec, gamma=1.0)
     work.value(np.zeros(3), np.zeros(3))
     rhs = np.array([1.0, -2.0, 3.0])
-    # V = 0 (huge weights), U = I (large residuals): W = (1/g2 + mu) I
+    # V = 0 (huge weights), U = I (large residuals): W = (1/g + mu) I
     d = work.newton_direction(rhs)
     assert np.allclose(d, rhs / (1.0 + 1e-5))
 
@@ -211,7 +213,7 @@ def test_newton_fast_on_smooth_instance(monkeypatch):
     y = 10.0 + rng.standard_normal(n)
     pr = QuantileProblem(X, y, tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.full(p, 1e-4))
-    work = make_work(spec, gamma1=1.0, gamma2=1.0)
+    work = make_work(spec, gamma=1.0)
     u, info = _newton_solve(work, np.zeros(n), 1e-9)
     assert info["iters"] <= 3
     assert np.linalg.norm(phi(work, u)) / (1 + np.linalg.norm(y)) <= 1e-9
@@ -219,7 +221,7 @@ def test_newton_fast_on_smooth_instance(monkeypatch):
 
 def test_newton_residual_and_gap(rng):
     spec, _ = make_subproblem(21, 10, 20, lam=0.15)
-    work = make_work(spec, gamma1=0.05, gamma2=0.05)
+    work = make_work(spec, gamma=0.05)
     u, _ = _newton_solve(work, np.zeros(10), 1e-10)
     res = np.linalg.norm(phi(work, u))
     res /= 1.0 + np.linalg.norm(spec.problem.response)
@@ -227,8 +229,8 @@ def test_newton_residual_and_gap(rng):
     # primal-dual gap of the regularized subproblem at the recovered primal
     _, pb = work.gradient(u, work.X.T @ u)
     reg_primal = spec.objective(pb)
-    reg_primal += 0.5 * work.g1 * np.sum((pb - work.bj) ** 2)
-    reg_primal += 0.5 * work.g2 * np.sum((work.X @ (pb - work.bj)) ** 2)
+    reg_primal += 0.5 * work.g * np.sum((pb - work.bj) ** 2)
+    reg_primal += 0.5 * work.g * np.sum((work.X @ (pb - work.bj)) ** 2)
     gap = reg_primal + psi(work, u)
     assert abs(gap) <= 1e-7
 
@@ -247,7 +249,7 @@ def test_newton_monotone_psi(monkeypatch):
     steps = 0
     for seed in range(20):
         spec, _ = make_subproblem(100 + seed, 10, 20, lam=0.1)
-        work = _DualWork(spec, np.zeros(20), 0.05, 0.05)
+        work = _DualWork(spec, np.zeros(20), 0.05)
         psis.clear()
         _newton_solve(work, np.zeros(10), 1e-9)
         assert all(psis[i + 1] <= psis[i] + 1e-10 for i in range(len(psis) - 1))
@@ -285,7 +287,7 @@ def test_ppa_larger_instance_lp_oracle():
     state, report = ppa_solve(spec)
     opt = lp_oracle(problem, weights)
     assert report.objective == pytest.approx(opt, rel=1e-6)
-    assert state.err_ppa <= 1e-8
+    assert report.residuals["err_ppa"] <= 1e-8
 
 
 def test_ppa_objective_monotone_trace(monkeypatch):
@@ -355,7 +357,7 @@ def test_cg_branch_matches_dense(monkeypatch):
     monkeypatch.setattr(pdsn, "DENSE_SOLVE_MAX_N", 10)
     s_cg, r_cg = ppa_solve(spec)
     assert abs(r_cg.objective - r_dn.objective) <= 1e-7
-    assert s_cg.err_ppa <= 1e-8
+    assert r_cg.residuals["err_ppa"] <= 1e-8
 
 
 def test_ppa_asymmetric_tau_lp_oracle():
@@ -381,10 +383,10 @@ def _newton_solve_reference(work, u0, tol, max_iters):
     step and evaluated Psi again at alpha = 0, kept as the oracle of the loop
     that takes them from the line search's last evaluation."""
     def gradient(u, Xtu):
-        q1 = work.bj - Xtu / work.g1
-        q2 = work.zj - u / work.g2
-        pz = prox_check_loss(q2, work.g2, work.tau, work.n)
-        pb = prox_weighted_l1(q1, work.omega, work.g1)
+        q1 = work.bj - Xtu / work.g
+        q2 = work.zj - u / work.g
+        pz = prox_check_loss(q2, work.g, work.tau, work.n)
+        pb = prox_weighted_l1(q1, work.omega, work.g)
         return work.y - pz - work.X @ pb, pb, (q1, q2, pz)
 
     u = np.asarray(u0, dtype=float).copy()

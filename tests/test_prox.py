@@ -49,12 +49,12 @@ def moreau_env_check_loss(z, gamma, tau, n):
 def newton_pattern(q2, q1, omega, gamma, tau):
     """The 0/1 diagonals (U, V) of the Newton matrix, (pz != 0, pb != 0),
     after the dual workspace evaluates at the prox arguments q2 (check loss)
-    and q1 (weighted l1) with gamma1 = gamma2 = gamma. The anchors are 0, so
+    and q1 (weighted l1) with proximal weight gamma. The anchors are 0, so
     value at u = -gamma q2, X^T u = -gamma q1 leaves q2 and q1 as they are
     when gamma is a power of two."""
     q2, q1 = np.asarray(q2, float), np.asarray(q1, float)
     pr = QuantileProblem(np.ones((q2.size, q1.size)), np.zeros(q2.size), tau=tau)
-    work = _DualWork(SubproblemSpec(problem=pr, weights=omega), np.zeros(q1.size), gamma, gamma)
+    work = _DualWork(SubproblemSpec(problem=pr, weights=omega), np.zeros(q1.size), gamma)
     work.value(-gamma * q2, -gamma * q1)
     assert np.array_equal(work.q2, q2) and np.array_equal(work.q1, q1)
     return work.pz != 0.0, work.pb != 0.0

@@ -1,7 +1,7 @@
 """Sparse quantile regression by multi-stage convex relaxation, with a
 proximal dual semismooth Newton solver and a semi-proximal ADMM baseline."""
 
-from .admm import AdmmConfig, admm_solve
+from .admm import admm_solve
 from .datagen import SyntheticSpec, generate, selection_metrics
 from .mscra import (
     MscraConfig,

@@ -17,28 +17,22 @@ from .prox import prox_check_loss, prox_weighted_l1
 from .report import SolverReport
 
 
+# Reference configuration. sigma starts at SIGMA0; the loop stops once
+# eps_pinf, eps_dinf and eps_gap are all <= EPS_ADMM, or after MAX_ITERS
+# iterations. At that cap, TAIL_AVERAGE > 0 reports the ergodic mean of the
+# last TAIL_AVERAGE betas (oscillation damping) instead of the last one.
+# Every ADAPT_EVERY iterations sigma is multiplied by ADAPT_FACTOR when
+# eps_pinf/eps_dinf > ADAPT_HIGH and divided by it when the ratio is
+# < ADAPT_LOW; ADAPT_EVERY > MAX_ITERS keeps sigma at SIGMA0.
+SIGMA0 = 1.0
+MAX_ITERS = 3000
+EPS_ADMM = 1e-6
+TAIL_AVERAGE = 0
 STEP = 1.618  # multiplier step length, in (1, (sqrt(5)+1)/2)
-# sigma adaptation: every ADAPT_EVERY iterations sigma is multiplied by
-# ADAPT_FACTOR when eps_pinf/eps_dinf > ADAPT_HIGH and divided by it when the
-# ratio is < ADAPT_LOW
 ADAPT_EVERY = 50
 ADAPT_FACTOR = 1.5
 ADAPT_LOW = 0.1
 ADAPT_HIGH = 10.0
-
-
-@dataclass
-class AdmmConfig:
-    sigma0: float = 1.0
-    j_max: int = 3000
-    eps_admm: float = 1e-6
-    sigma_adapt: bool = True
-    tail_average: int = 0  # >0: report the ergodic mean of the last K betas
-                           # when the iteration cap is reached (oscillation damping)
-
-    def __post_init__(self):
-        if self.sigma0 <= 0 or self.eps_admm <= 0 or self.j_max < 1:
-            raise ValueError("invalid ADMM configuration")
 
 
 @dataclass
@@ -90,18 +84,17 @@ def dual_box_value(u, spec):
     return float(v @ pr.response)
 
 
-def admm_solve(spec, cfg=None, z0=None, u0=None):
+def admm_solve(spec, z0=None, u0=None):
     """Run the semi-proximal ADMM; returns (AdmmState, SolverReport).
 
-    Non-convergence at j_max is flagged in the report, not raised.
+    Non-convergence at MAX_ITERS is flagged in the report, not raised.
     """
-    cfg = cfg or AdmmConfig()
     pr = spec.problem
     t0 = time.perf_counter()
     X, y = pr.design, pr.response
     n = pr.n
     xtx_norm = matrix_norms(X).spectral ** 2
-    sigma = cfg.sigma0
+    sigma = SIGMA0
     gamma = sigma * xtx_norm
     beta = np.asarray(spec.anchor, dtype=float).copy()
     z = (y - X @ beta) if z0 is None else np.asarray(z0, dtype=float).copy()
@@ -112,10 +105,10 @@ def admm_solve(spec, cfg=None, z0=None, u0=None):
     j = 0
     Xb = X @ beta
     dinf_scale = (1.0 / STEP - 1.0) ** 2
-    avg_from = cfg.j_max - cfg.tail_average if cfg.tail_average > 0 else cfg.j_max + 1
+    avg_from = MAX_ITERS - TAIL_AVERAGE if TAIL_AVERAGE > 0 else MAX_ITERS + 1
     beta_acc = None
     acc_count = 0
-    for j in range(1, cfg.j_max + 1):
+    for j in range(1, MAX_ITERS + 1):
         s = Xb + z - y + u / sigma
         beta_new = admm_beta_update(beta, s, spec, sigma, gamma)
         Xb_new = X @ beta_new
@@ -133,16 +126,16 @@ def admm_solve(spec, cfg=None, z0=None, u0=None):
         # the gap can only stop the loop once both infeasibilities are small;
         # it is also reported at the cap
         infeas = max(eps_pinf, eps_dinf)
-        if infeas <= cfg.eps_admm or j == cfg.j_max:
+        if infeas <= EPS_ADMM or j == MAX_ITERS:
             w_prim = _split_objective(beta, z, spec)
             # dual objective at the box-clipped multiplier, min form
             w_dual_min = -float(_box_multiplier(u, pr.tau, n) @ y)
             gap_sum = w_prim + w_dual_min
             eps_gap = float(abs(gap_sum) / max(1.0, 0.5 * gap_sum))
-            if max(infeas, eps_gap) <= cfg.eps_admm:
+            if max(infeas, eps_gap) <= EPS_ADMM:
                 converged = True
                 break
-        if cfg.sigma_adapt and j % ADAPT_EVERY == 0 and eps_dinf > 0:
+        if j % ADAPT_EVERY == 0 and eps_dinf > 0:
             ratio = eps_pinf / eps_dinf
             if ratio > ADAPT_HIGH:
                 sigma *= ADAPT_FACTOR

@@ -277,10 +277,11 @@ def _pin_blas_threads():
 
 
 def _run_pool(jobs, threads):
-    """The records of ``_fit_job`` over ``jobs``, in order. Forked workers
-    start with the parent's dataset memo."""
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if workers <= 1 or len(jobs) <= 1:
+    """The records of ``_fit_job`` over ``jobs``, in order, on at most one
+    worker per job. Forked workers start with the parent's dataset memo."""
+    # a fork-started pool forks all max_workers processes at the first submit
+    workers = min(threads if threads and threads > 0 else (os.cpu_count() or 1), len(jobs))
+    if workers <= 1:
         return [_fit_job(job) for job in jobs]
     # every pool job samples a dataset; load the samplers' scipy.special
     # here, once, so that the forked workers inherit it instead of each
@@ -311,6 +312,8 @@ def cmd_bench(args):
         args.noise_var = 1.0 if hetero else 2.0
     specs = [_synthetic_spec(args, args.seed ^ r) for r in range(args.reps)]
     lam = args.lam
+    if args.gamma is not None and (lam is not None or args.nu is not None):
+        raise ValueError("--gamma scales the default penalty; it cannot be combined with --lambda or --nu")
     if lam is None and args.nu is None:
         gamma = args.gamma if args.gamma is not None else (0.1 if hetero else 0.116)
         lam = float(lambda_grid(_dataset(specs[0]).problem, gamma, gamma, 1)[0])
@@ -367,7 +370,8 @@ def build_parser():
     bn.add_argument("--noise", default="normal")
     bn.add_argument("--noise-var", type=float, default=None, help="default 2 (fixed16) or 1 (hetero)")
     bn.add_argument("--gamma", type=float, default=None,
-                    help="penalty scale; default 0.116 (fixed16) or 0.1 (hetero)")
+                    help="penalty scale when neither --lambda nor --nu is given; "
+                         "default 0.116 (fixed16) or 0.1 (hetero)")
     bn.add_argument("--reps", type=_COUNT, default=10)
     _add_common(bn, lam=True, model=True, threads=True)
     bn.set_defaults(fn=cmd_bench, snr=None)

@@ -18,6 +18,12 @@ from .surrogate import SurrogateFamily, scad
 
 RHO_CAP = 1e8       # stages 2-3 keep rho_k <= RHO_CAP / ||beta||_inf
 RHO_GROWTH = 1.25   # stages 2-3 grow rho_k by at most this factor
+# A fit runs at most MAX_STAGES stages; once the nonzero count is stable it
+# stops at Err_k <= STAGE_TOL or at |Err_k - Err_{k-2}| <= ERR_CHANGE_TOL
+# (see mscra_fit).
+MAX_STAGES = 10
+STAGE_TOL = 1e-5
+ERR_CHANGE_TOL = 1e-6
 
 
 @dataclass
@@ -25,10 +31,8 @@ class MscraConfig:
     """Driver configuration.
 
     Exactly one of ``lam`` and ``nu`` is required (lambda = rho0/nu with
-    rho0 = 1). ``rho_freeze`` pins rho_k to a constant for every stage, which
-    turns the stage loop into an exact majorization-minimization iteration. The
-    stage-0 weights are w^0 = 0, so stage 1 is the plain weighted-l1 fit with
-    weights lambda.
+    rho0 = 1). The stage-0 weights are w^0 = 0, so stage 1 is the plain
+    weighted-l1 fit with weights lambda.
     """
 
     tau: float = 0.5
@@ -36,10 +40,6 @@ class MscraConfig:
     nu: float = None
     surrogate: SurrogateFamily = field(default_factory=scad)
     solver: str = "pdsn"
-    max_stages: int = 10
-    stage_tol: float = 1e-5
-    err_change_tol: float = 1e-6
-    rho_freeze: float = None
 
     def __post_init__(self):
         if (self.lam is None) == (self.nu is None):
@@ -54,8 +54,6 @@ class MscraConfig:
             raise ValueError("tau must be in (0,1)")
         if self.solver not in ("pdsn", "admm"):
             raise ValueError("solver must be 'pdsn' or 'admm'")
-        if self.max_stages < 1:
-            raise ValueError("max_stages must be >= 1")
 
 
 class StageFailure(RuntimeError):
@@ -143,8 +141,8 @@ def mscra_fit(problem, cfg):
     Stage weights fed to the solver are lambda (1 - w^{k-1}), zero for an
     intercept column; the solver is warm started with the previous stage's
     solution. Termination: nonzero count stable over 4 stages with
-    Err_k <= stage_tol; or stable over 3 stages with
-    |Err_k - Err_{k-2}| <= err_change_tol; or max_stages.
+    Err_k <= STAGE_TOL; or stable over 3 stages with
+    |Err_k - Err_{k-2}| <= ERR_CHANGE_TOL; or MAX_STAGES.
     """
     problem = problem.with_tau(cfg.tau)
 
@@ -156,20 +154,17 @@ def mscra_fit(problem, cfg):
 
     omega = stage_weights(np.zeros(problem.p))
     beta = np.zeros(problem.p)
-    rho = 1.0 if cfg.rho_freeze is None else float(cfg.rho_freeze)
+    rho = 1.0
     warm = None
     history = []
     reason = "max_stages"
-    for k in range(1, cfg.max_stages + 1):
+    for k in range(1, MAX_STAGES + 1):
         spec = SubproblemSpec(problem=problem, weights=omega, anchor=beta)
         try:
             beta, warm, report = _solve_stage(spec, cfg, warm)
         except (FloatingPointError, SolverError) as exc:
             raise StageFailure(f"stage {k} solver failed: {exc}", history) from exc
-        if cfg.rho_freeze is None:
-            rho, degenerate = rho_schedule(k, beta, rho)
-        else:
-            degenerate = False
+        rho, degenerate = rho_schedule(k, beta, rho)
         w = np.asarray(cfg.surrogate.w_update(rho, np.abs(beta)), dtype=float)
         omega = stage_weights(w)  # the next stage's weights
         err_k = stage_kkt_residual(problem, beta, warm[1], omega)
@@ -178,11 +173,11 @@ def mscra_fit(problem, cfg):
         history.append(stage)
         if degenerate:
             stage.solver_report.warnings.append("degenerate stage-1 fit (beta = 0)")
-        if k >= 4 and len({s.nnz for s in history[-4:]}) == 1 and err_k <= cfg.stage_tol:
+        if k >= 4 and len({s.nnz for s in history[-4:]}) == 1 and err_k <= STAGE_TOL:
             reason = "stable_nnz_and_kkt"
             break
         if (k >= 3 and len({s.nnz for s in history[-3:]}) == 1
-                and abs(err_k - history[-3].err_k) <= cfg.err_change_tol):
+                and abs(err_k - history[-3].err_k) <= ERR_CHANGE_TOL):
             reason = "stable_nnz_and_err_change"
             break
     final = history[-1]

@@ -4,7 +4,9 @@ penalty threshold.
 
 Each family, selected by name, is a quadratic phi(t) = A t^2 + B t + C on
 [0, 1] with min phi = 0 and phi(1) = 1, and every quantity but the weight
-update is one formula in (A, B, C):
+update is one formula in (A, B, C). mcp's phi, whose minimum lies inside
+[0, 1], is evaluated in vertex form A (t - v)^2 with v = -B/(2A), so that
+it is exactly 0 at its minimizer t* = v:
 
 - ``capped-l1``: (0, 1, 0); h gives the capped-l1 penalty.
 - ``scad``: ((a-1)/(a+1), 2/(a+1), 0) with a > 1; h reduces to SCAD.
@@ -44,7 +46,11 @@ class SurrogateFamily:
     def phi(self, t):
         A, B, C = self.coef
         t = np.asarray(t, dtype=float)
-        out = A * t**2 + B * t + C
+        if self.kind == "mcp":
+            v = -B / (2.0 * A)  # t*: _maximizer's root at s = 0, inside [0, 1]
+            out = A * (t - v) ** 2
+        else:
+            out = A * t**2 + B * t + C
         return out if np.ndim(out) else float(out)
 
     def psi(self, t):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from sqreg import (
-    AdmmConfig,
     MscraConfig,
     QuantileProblem,
     SubproblemSpec,
@@ -31,7 +30,7 @@ from sqreg import (
     selection_metrics,
     support_mask,
 )
-from sqreg import pdsn
+from sqreg import admm, mscra, pdsn
 from sqreg.datagen import HETERO_MAIN
 from sqreg.cli import main as cli_main
 from sqreg.pdsn import _DualWork
@@ -39,6 +38,7 @@ from sqreg.pdsn import _DualWork
 from test_prox import chk_objective, golden_min, wl1_objective
 from test_surrogate import capped_l1_penalty, mcp_penalty, scad_penalty
 from test_cli import mask_wall
+from test_mscra import run_stages
 
 
 def announce(num, label):
@@ -123,14 +123,15 @@ def solver_panel():
     oscillates without converging, so sigma is fixed at the problem-class
     level 1e-3 and the iteration-capped output is the ergodic tail mean."""
     runs = []
-    cases = [("identity", g, 4100 + i,
-              AdmmConfig(j_max=40_000, eps_admm=1e-7))
+    # each case's settings of the sqreg.admm constants; ADAPT_EVERY beyond
+    # the cap fixes sigma at SIGMA0
+    cases = [("identity", g, 4100 + i, {"MAX_ITERS": 40_000, "EPS_ADMM": 1e-7})
              for i, g in enumerate(np.linspace(0.02, 0.25, 10))]
     cases += [("cs:0.95", g, 4200 + i,
-               AdmmConfig(sigma0=1e-3, sigma_adapt=False, j_max=60_000,
-                          eps_admm=1e-7, tail_average=10_000))
+               {"SIGMA0": 1e-3, "ADAPT_EVERY": 60_001, "MAX_ITERS": 60_000,
+                "EPS_ADMM": 1e-7, "TAIL_AVERAGE": 10_000})
               for i, g in enumerate(np.linspace(0.20, 0.38, 10))]
-    for cov, gamma, seed, acfg in cases:
+    for cov, gamma, seed, settings in cases:
         ds = generate(SyntheticSpec(n=200, p=500, beta_pattern="alternating-decay",
                                     covariance=cov, noise="normal", snr=3.0, seed=seed))
         pr = ds.problem
@@ -139,9 +140,12 @@ def solver_panel():
         t0 = time.perf_counter()
         pstate, prep = ppa_solve(spec)
         tp = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        astate, arep = admm_solve(spec, acfg)
-        ta = time.perf_counter() - t0
+        with pytest.MonkeyPatch.context() as m:
+            for name, value in settings.items():
+                m.setattr(admm, name, value)
+            t0 = time.perf_counter()
+            astate, arep = admm_solve(spec)
+            ta = time.perf_counter() - t0
         runs.append({"cov": cov, "gamma": gamma, "pdsn_obj": prep.objective,
                      "admm_obj": arep.objective, "pdsn_s": tp, "admm_s": ta})
     return runs
@@ -191,9 +195,11 @@ def test_c6_mm_monotonicity(monkeypatch):
     """Exact inner solves (floor 1e-10), rho frozen: the DC objective is
     nonincreasing across stages on ten instances (n=50, p=100)."""
     monkeypatch.setattr(pdsn, "EPS_PPA_FLOOR", 1e-10)
+    run_stages(monkeypatch, 6)
     t0 = time.perf_counter()
     fam = scad(3.7)
     lam, rho = 0.15, 1.0
+    monkeypatch.setattr(mscra, "rho_schedule", lambda k, beta, prev_rho: (rho, False))
     nu = 1.0 / lam
     for seed in range(10):
         rng = np.random.default_rng(9000 + seed)
@@ -203,8 +209,7 @@ def test_c6_mm_monotonicity(monkeypatch):
         beta[idx] = rng.standard_normal(5) + np.sign(rng.standard_normal(5))
         y = X @ beta + 0.3 * rng.standard_normal(50)
         pr = QuantileProblem(X, y, tau=0.5)
-        cfg = MscraConfig(tau=0.5, lam=lam, surrogate=fam, rho_freeze=rho, max_stages=6,
-                          stage_tol=0.0, err_change_tol=0.0)
+        cfg = MscraConfig(tau=0.5, lam=lam, surrogate=fam)
         _, hist = mscra_fit(pr, cfg)
         vals = [check_loss(y - X @ s.beta, 0.5) + np.sum(fam.h_rho(rho, s.beta)) / nu for s in hist]
         assert all(vals[i + 1] <= vals[i] + 1e-8 for i in range(len(vals) - 1))

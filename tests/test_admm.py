@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sqreg import (
-    AdmmConfig,
     QuantileProblem,
     SubproblemSpec,
     admm_solve,
@@ -78,21 +77,24 @@ def test_z_update(rng):
     assert np.allclose(z, expect)
 
 
-def test_admm_feasible_unpenalized():
+def test_admm_feasible_unpenalized(monkeypatch):
+    monkeypatch.setattr(admm, "MAX_ITERS", 5000)
     rng = np.random.default_rng(4)
     n, p = 12, 24
     X = rng.standard_normal((n, p))
     y = X @ rng.standard_normal(p)
     pr = QuantileProblem(X, y, tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.zeros(p))
-    state, report = admm_solve(spec, AdmmConfig(j_max=5000))
+    state, report = admm_solve(spec)
     assert report.objective <= 1e-5
 
 
-def test_admm_matches_pdsn(rng):
+def test_admm_matches_pdsn(monkeypatch):
+    monkeypatch.setattr(admm, "MAX_ITERS", 20000)
+    monkeypatch.setattr(admm, "EPS_ADMM", 1e-8)
     for seed in range(4):
         spec, _ = make_subproblem(50 + seed, 60, 30, lam=0.08)
-        astate, arep = admm_solve(spec, AdmmConfig(j_max=20000, eps_admm=1e-8))
+        astate, arep = admm_solve(spec)
         pstate, prep = ppa_solve(spec)
         rel = abs(arep.objective - prep.objective) / max(abs(arep.objective), abs(prep.objective))
         assert rel <= 1e-5
@@ -100,14 +102,14 @@ def test_admm_matches_pdsn(rng):
 
 def test_admm_gap_decreases_small_instance():
     spec, _ = make_subproblem(8, 25, 10, lam=0.3)
-    state, report = admm_solve(spec, AdmmConfig(j_max=3000))
+    state, report = admm_solve(spec)
     assert report.converged and report.residuals["eps_gap"] <= 1e-6
 
 
-def test_weak_duality_along_iterates():
+def test_weak_duality_along_iterates(monkeypatch):
+    monkeypatch.setattr(admm, "MAX_ITERS", 400)
     spec, _ = make_subproblem(9, 20, 8, lam=0.2)
-    cfg = AdmmConfig(j_max=400)
-    state, report = admm_solve(spec, cfg)
+    state, report = admm_solve(spec)
     # the feasible dual value at a few multipliers lower-bounds the primal
     for u in (np.zeros(20), state.u, -state.u):
         lower = dual_box_value(u, spec)
@@ -132,10 +134,11 @@ def test_primal_feasibility_trend(monkeypatch):
     # windowed monotone trend (not per-step): most 100-iteration window means
     # decrease and the overall level drops by orders of magnitude
     calls = _recording_z_update(monkeypatch)
+    monkeypatch.setattr(admm, "MAX_ITERS", 5000)
     for seed in (8, 20):
         spec, _ = make_subproblem(seed, 25 if seed == 8 else 50, 10, lam=0.3)
         calls.clear()
-        state, report = admm_solve(spec, AdmmConfig(j_max=5000))
+        state, report = admm_solve(spec)
         ynorm1 = 1.0 + np.linalg.norm(spec.problem.response)
         pinf = np.array([np.linalg.norm(r) / ynorm1 for _, r in calls])
         w = 100
@@ -145,42 +148,44 @@ def test_primal_feasibility_trend(monkeypatch):
         assert means[-1] <= means[0] / 10.0
 
 
-def test_sigma_adapt_agreement():
+def test_sigma_adapt_agreement(monkeypatch):
+    monkeypatch.setattr(admm, "MAX_ITERS", 8000)
     for seed in (11, 12):
         spec, _ = make_subproblem(seed, 30, 15, lam=0.1)
-        s_on, r_on = admm_solve(spec, AdmmConfig(j_max=8000, sigma_adapt=True))
-        s_off, r_off = admm_solve(spec, AdmmConfig(j_max=8000, sigma_adapt=False))
+        s_on, r_on = admm_solve(spec)
+        with monkeypatch.context() as m:
+            m.setattr(admm, "ADAPT_EVERY", 8001)  # beyond the cap: sigma stays SIGMA0
+            s_off, r_off = admm_solve(spec)
         rel = abs(r_on.objective - r_off.objective) / max(1e-12, abs(r_off.objective))
         assert rel <= 1e-5
 
 
-def test_admm_config_validation():
-    with pytest.raises(ValueError):
-        AdmmConfig(sigma0=0.0)
-
-
-def test_zeta_zero_at_fixed_point():
+def test_zeta_zero_at_fixed_point(monkeypatch):
     # at an exact fixed point the dual-infeasibility block vanishes;
     # run a converged instance and confirm the last measures are tiny
+    monkeypatch.setattr(admm, "MAX_ITERS", 50000)
+    monkeypatch.setattr(admm, "EPS_ADMM", 1e-9)
     spec, _ = make_subproblem(13, 15, 6, lam=0.3)
-    state, report = admm_solve(spec, AdmmConfig(j_max=50000, eps_admm=1e-9))
+    state, report = admm_solve(spec)
     assert report.converged
     assert max(report.residuals["eps_pinf"], report.residuals["eps_dinf"]) <= 1e-9
 
 
-def _admm_solve_reference(spec, cfg, z0=None, u0=None):
+def _admm_solve_reference(spec, z0=None, u0=None):
     """The admm_solve loop that computed the duality gap on every iteration,
     kept as the oracle of the loop that computes it only when it can stop
-    the loop and at the cap."""
-    from sqreg.admm import (ADAPT_EVERY, ADAPT_FACTOR, ADAPT_HIGH, ADAPT_LOW, STEP,
-                            AdmmState, _box_multiplier, _split_objective)
+    the loop and at the cap. Reads the module constants as they are set
+    when it is called."""
+    from sqreg.admm import (ADAPT_EVERY, ADAPT_FACTOR, ADAPT_HIGH, ADAPT_LOW, EPS_ADMM,
+                            MAX_ITERS, SIGMA0, STEP, TAIL_AVERAGE, AdmmState,
+                            _box_multiplier, _split_objective)
     from sqreg.report import SolverReport
 
     pr = spec.problem
     X, y = pr.design, pr.response
     n = pr.n
     xtx_norm = matrix_norms(X).spectral ** 2
-    sigma = cfg.sigma0
+    sigma = SIGMA0
     gamma = sigma * xtx_norm
     beta = np.asarray(spec.anchor, dtype=float).copy()
     z = (y - X @ beta) if z0 is None else np.asarray(z0, dtype=float).copy()
@@ -191,10 +196,10 @@ def _admm_solve_reference(spec, cfg, z0=None, u0=None):
     j = 0
     Xb = X @ beta
     dinf_scale = (1.0 / STEP - 1.0) ** 2
-    avg_from = cfg.j_max - cfg.tail_average if cfg.tail_average > 0 else cfg.j_max + 1
+    avg_from = MAX_ITERS - TAIL_AVERAGE if TAIL_AVERAGE > 0 else MAX_ITERS + 1
     beta_acc = None
     acc_count = 0
-    for j in range(1, cfg.j_max + 1):
+    for j in range(1, MAX_ITERS + 1):
         s = Xb + z - y + u / sigma
         beta_new = admm_beta_update(beta, s, spec, sigma, gamma)
         Xb_new = X @ beta_new
@@ -212,10 +217,10 @@ def _admm_solve_reference(spec, cfg, z0=None, u0=None):
         w_dual_min = -float(_box_multiplier(u, pr.tau, n) @ y)
         gap_sum = w_prim + w_dual_min
         eps_gap = float(abs(gap_sum) / max(1.0, 0.5 * gap_sum))
-        if max(eps_pinf, eps_dinf, eps_gap) <= cfg.eps_admm:
+        if max(eps_pinf, eps_dinf, eps_gap) <= EPS_ADMM:
             converged = True
             break
-        if cfg.sigma_adapt and j % ADAPT_EVERY == 0 and eps_dinf > 0:
+        if j % ADAPT_EVERY == 0 and eps_dinf > 0:
             ratio = eps_pinf / eps_dinf
             if ratio > ADAPT_HIGH:
                 sigma *= ADAPT_FACTOR
@@ -257,26 +262,33 @@ def _sigma_moves(calls):
 def test_admm_loop_matches_reference_loop(monkeypatch):
     converging, _ = make_subproblem(8, 25, 10, lam=0.3)
     adapting, _ = make_subproblem(14, 20, 8, lam=0.2)  # sigma is raised once and cut 7 times
-    warm, _ = admm_solve(converging, AdmmConfig(j_max=100))
+    with monkeypatch.context() as m:
+        m.setattr(admm, "MAX_ITERS", 100)
+        warm, _ = admm_solve(converging)
+    # each case's settings of the sqreg.admm constants; ADAPT_EVERY beyond
+    # the cap turns sigma adaptation off
     cases = [
-        (converging, AdmmConfig(), None, None),
-        (converging, AdmmConfig(), warm.z, warm.u),
-        (adapting, AdmmConfig(j_max=600), None, None),
-        (adapting, AdmmConfig(j_max=600, tail_average=50), None, None),
-        (adapting, AdmmConfig(j_max=600, tail_average=50, sigma_adapt=False), None, None),
+        (converging, {}, None, None),
+        (converging, {}, warm.z, warm.u),
+        (adapting, {"MAX_ITERS": 600}, None, None),
+        (adapting, {"MAX_ITERS": 600, "TAIL_AVERAGE": 50}, None, None),
+        (adapting, {"MAX_ITERS": 600, "TAIL_AVERAGE": 50, "ADAPT_EVERY": 601}, None, None),
     ]
     calls = _recording_z_update(monkeypatch)
     outcomes = []
-    for spec, cfg, z0, u0 in cases:
+    for spec, settings, z0, u0 in cases:
         calls.clear()
-        state, report = admm_solve(spec, cfg, z0=z0, u0=u0)
-        ref_state, ref_report = _admm_solve_reference(spec, cfg, z0=z0, u0=u0)
+        with monkeypatch.context() as m:
+            for name, value in settings.items():
+                m.setattr(admm, name, value)
+            state, report = admm_solve(spec, z0=z0, u0=u0)
+            ref_state, ref_report = _admm_solve_reference(spec, z0=z0, u0=u0)
         assert _as_hex(vars(state)) == _as_hex(vars(ref_state))
         got, want = dict(vars(report)), dict(vars(ref_report))
         got.pop("wall_ms"), want.pop("wall_ms")
         assert _as_hex(got) == _as_hex(want)
         outcomes.append((report.converged, report.iterations))
-        if spec is adapting and cfg.sigma_adapt:
+        if spec is adapting and "ADAPT_EVERY" not in settings:
             assert _sigma_moves(calls) == (1, 7)
     # the cases cover convergence before the cap (cold and warm) and the cap
     assert outcomes[0][0] and outcomes[0][1] < 3000 and outcomes[1][0]

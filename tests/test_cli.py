@@ -159,6 +159,36 @@ def test_bench_process_pool_matches_serial(tmp_path):
         assert mask_wall(out1.read_text()) == mask_wall(out2.read_text())
 
 
+def test_pool_starts_at_most_one_worker_per_job(tmp_path, monkeypatch):
+    # a fork-started pool forks all max_workers processes at its first
+    # submit; the stand-in pool records its size and maps in this process
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    args = ["bench", "--n", "30", "--p", "20", "--reps", "2", "--seed", "5", "--gamma", "0.2"]
+    out_pool, out_serial = tmp_path / "pool.jsonl", tmp_path / "serial.jsonl"
+    assert run(args + ["--threads", "8", "--out", str(out_pool)]) == 0
+    assert sizes == [2]
+    assert run(args + ["--threads", "1", "--out", str(out_serial)]) == 0
+    assert sizes == [2]
+    assert mask_wall(out_pool.read_text()) == mask_wall(out_serial.read_text())
+
+
 TAU_SWEEP_3X3 = ["tau-sweep", "--n", "30", "--p", "20", "--tau-min", "0.3", "--tau-max", "0.7",
                  "--tau-step", "0.2", "--reps", "3", "--seed", "9"]
 
@@ -312,6 +342,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
                  ["fit", data, "--lambda", "0"], ["fit", data, "--nu", "0"],
                  ["fit", data, "--lambda", "nan"], ["fit", data, "--nu", "inf"],
                  ["bench", "--nu", "0", "--reps", "2", "--threads", "1"],
+                 ["bench", "--lambda", "0.2", "--gamma", "0.5", "--n", "30", "--p", "20",
+                  "--reps", "1", "--threads", "1"],
+                 ["bench", "--nu", "5", "--gamma", "0.5", "--n", "30", "--p", "20",
+                  "--reps", "1", "--threads", "1"],
                  ["tau-sweep", "--tau-step", "0"], ["tau-sweep", "--tau-step", "-0.05"],
                  ["tau-sweep", "--tau-min", "0.9", "--tau-max", "0.1"],
                  ["tau-sweep", "--tau-min", "0.95", "--tau-max", "1"],

@@ -15,10 +15,17 @@ from sqreg import (
     scad,
     selection_metrics,
 )
-from sqreg import pdsn
+from sqreg import mscra, pdsn
 from sqreg.mscra import stage_kkt_residual
 
 from conftest import make_problem
+
+
+def run_stages(monkeypatch, count):
+    """Cap fits at ``count`` stages, with the stop rules' tolerances at 0."""
+    monkeypatch.setattr(mscra, "MAX_STAGES", count)
+    monkeypatch.setattr(mscra, "STAGE_TOL", 0.0)
+    monkeypatch.setattr(mscra, "ERR_CHANGE_TOL", 0.0)
 
 
 def test_config_validation():
@@ -34,10 +41,11 @@ def test_config_validation():
     assert cfg.lam == pytest.approx(0.25)
 
 
-def test_single_stage_is_plain_l1_fit():
+def test_single_stage_is_plain_l1_fit(monkeypatch):
+    monkeypatch.setattr(mscra, "MAX_STAGES", 1)
     problem, _ = make_problem(1, 40, 20, sparsity=4, noise=0.2)
     lam = 0.1
-    cfg = MscraConfig(tau=0.5, lam=lam, max_stages=1)
+    cfg = MscraConfig(tau=0.5, lam=lam)
     final, history = mscra_fit(problem, cfg)
     spec = SubproblemSpec(problem=problem, weights=np.full(20, lam))
     state, report = ppa_solve(spec)
@@ -64,7 +72,8 @@ def test_stage1_weights_are_lambda(monkeypatch):
         return orig(spec, cfg, warm)
 
     monkeypatch.setattr(M, "_solve_stage", spy)
-    mscra_fit(problem, MscraConfig(tau=0.5, lam=0.2, max_stages=2))
+    monkeypatch.setattr(M, "MAX_STAGES", 2)
+    mscra_fit(problem, MscraConfig(tau=0.5, lam=0.2))
     assert np.allclose(seen["w"][0], 0.2)  # w0 = 0 so stage-1 weights are lambda e
 
 
@@ -79,10 +88,10 @@ def test_rho_schedule_values():
     assert rho_schedule(7, np.array([0.4]), 3.3) == (3.3, False)
 
 
-def test_rho_monotone_and_frozen_after_stage3():
+def test_rho_monotone_and_frozen_after_stage3(monkeypatch):
+    run_stages(monkeypatch, 8)
     problem, _ = make_problem(4, 50, 25, sparsity=4, noise=0.3)
-    final, history = mscra_fit(problem, MscraConfig(tau=0.5, lam=0.08, max_stages=8,
-                                                    stage_tol=0.0, err_change_tol=0.0))
+    final, history = mscra_fit(problem, MscraConfig(tau=0.5, lam=0.08))
     rhos = [s.rho for s in history]
     assert all(rhos[i + 1] >= rhos[i] for i in range(len(rhos) - 1))
     if len(rhos) > 4:
@@ -143,12 +152,13 @@ def test_lambda_grid():
 def test_mm_monotone_small(monkeypatch):
     # frozen rho + exact inner solves: Theta_{nu,rho} nonincreasing over stages
     monkeypatch.setattr(pdsn, "EPS_PPA_FLOOR", 1e-10)
+    run_stages(monkeypatch, 6)
+    rho = 1.0
+    monkeypatch.setattr(mscra, "rho_schedule", lambda k, beta, prev_rho: (rho, False))
     problem, _ = make_problem(9, 30, 60, sparsity=4, noise=0.3)
     fam = scad(3.7)
     lam = 0.12
-    rho = 1.0
-    cfg = MscraConfig(tau=0.5, lam=lam, surrogate=fam, rho_freeze=rho, max_stages=6,
-                      stage_tol=0.0, err_change_tol=0.0)
+    cfg = MscraConfig(tau=0.5, lam=lam, surrogate=fam)
     final, history = mscra_fit(problem, cfg)
     nu = 1.0 / lam
 

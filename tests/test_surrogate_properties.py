@@ -57,10 +57,12 @@ def test_fenchel_young(fam, t, s):
 @settings(max_examples=300, deadline=None)
 @given(fam=families, rho=rhos, t1=st.floats(-100.0, 100.0), t2=st.floats(-100.0, 100.0))
 def test_h_rho_range_and_monotone(fam, rho, t1, t2):
+    # h is exactly 0 at t = 0 and never negative; phi(1) may round above 1
+    assert fam.h_rho(rho, 0.0) == 0.0
     (_, h_lo), (t_hi, h_hi) = sorted((abs(t), fam.h_rho(rho, t)) for t in (t1, t2))
     tol = 1e3 * EPS * scale(fam, rho * t_hi)
     for h in (h_lo, h_hi):
-        assert -tol <= h <= 1.0 + tol
+        assert 0.0 <= h <= 1.0 + tol
     assert h_lo <= h_hi + tol
 
 

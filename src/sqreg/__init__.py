@@ -22,6 +22,6 @@ from .problem import (
 )
 from .prox import prox_check_loss, prox_weighted_l1
 from .report import SolverReport
-from .surrogate import SurrogateFamily, capped_l1, from_name, mcp, scad
+from .surrogate import SurrogateFamily
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .datagen import BETA_PATTERNS, HETERO_MAIN, SyntheticSpec, generate, select
 from .mscra import MscraConfig, StageFailure, lambda_grid, mscra_fit
 from .pdsn import SolverError, SubproblemSpec, ppa_solve
 from .problem import load_csv, nonzero_count, standardize, support_mask
-from .surrogate import KINDS, from_name
+from .surrogate import KINDS, SurrogateFamily
 
 
 class _UsageError(Exception):
@@ -80,9 +80,7 @@ def _add_common(sub, tau=True, lam=False, model=False, seed=True, threads=False)
     if tau:
         sub.add_argument("--tau", type=_TAU, default=0.5)
     if lam:
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument("--lambda", dest="lam", type=float, default=None)
-        group.add_argument("--nu", type=float, default=None)
+        sub.add_argument("--lambda", dest="lam", type=float, default=None)
     if model:
         sub.add_argument("--surrogate", choices=KINDS, default="scad")
         sub.add_argument("--a", type=float, default=None, help="scad/mcp shape; default 3.7")
@@ -107,9 +105,9 @@ def _add_dataset(sub, n=None, p=None, pattern="fixed16", cov="identity", noise="
 
 
 def _mscra_config(args, lam):
-    """The --tau, --nu and model flags as a fit configuration at penalty ``lam``."""
-    return MscraConfig(tau=args.tau, lam=lam, nu=args.nu, solver=args.solver,
-                       surrogate=from_name(args.surrogate, args.a))
+    """The --tau and model flags as a fit configuration at penalty ``lam``."""
+    return MscraConfig(tau=args.tau, lam=lam, solver=args.solver,
+                       surrogate=SurrogateFamily(args.surrogate, args.a))
 
 
 def _synthetic_spec(args, seed):
@@ -124,9 +122,8 @@ def cmd_fit(args):
     problem = load_csv(args.data, has_header=args.header, add_intercept=args.intercept)
     if args.standardize:
         problem = standardize(problem)
-    problem = problem.with_tau(args.tau)
     lam = args.lam
-    if lam is None and args.nu is None:
+    if lam is None:
         # default penalty level lambda = max(0.01, 0.1 ||X||_1 / n)
         lam = float(lambda_grid(problem, 0.1, 0.1, 1)[0])
     cfg = _mscra_config(args, lam)
@@ -312,12 +309,12 @@ def cmd_bench(args):
         args.noise_var = 1.0 if hetero else 2.0
     specs = [_synthetic_spec(args, args.seed ^ r) for r in range(args.reps)]
     lam = args.lam
-    if args.gamma is not None and (lam is not None or args.nu is not None):
-        raise ValueError("--gamma scales the default penalty; it cannot be combined with --lambda or --nu")
-    if lam is None and args.nu is None:
+    if args.gamma is not None and lam is not None:
+        raise ValueError("--gamma scales the default penalty; it cannot be combined with --lambda")
+    if lam is None:
         gamma = args.gamma if args.gamma is not None else (0.1 if hetero else 0.116)
         lam = float(lambda_grid(_dataset(specs[0]).problem, gamma, gamma, 1)[0])
-    # checks lambda/nu before any worker starts
+    # checks lambda before any worker starts
     cfg = _mscra_config(args, lam)
     records = _run_pool([(spec, cfg, r) for r, spec in enumerate(specs)], args.threads)
     scenario = f"{args.pattern}:{args.cov}:{args.noise}:tau{args.tau}"
@@ -370,7 +367,7 @@ def build_parser():
     bn.add_argument("--noise", default="normal")
     bn.add_argument("--noise-var", type=float, default=None, help="default 2 (fixed16) or 1 (hetero)")
     bn.add_argument("--gamma", type=float, default=None,
-                    help="penalty scale when neither --lambda nor --nu is given; "
+                    help="penalty scale when --lambda is not given; "
                          "default 0.116 (fixed16) or 0.1 (hetero)")
     bn.add_argument("--reps", type=_COUNT, default=10)
     _add_common(bn, lam=True, model=True, threads=True)

@@ -69,8 +69,10 @@ class SyntheticSpec:
             raise ValueError(f"unknown beta pattern {self.beta_pattern!r}")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise!r}")
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be positive")
+        if not 0.0 < self.noise_var < math.inf:
+            raise ValueError("noise_var must be positive and finite")
+        if self.snr is not None and not 0.0 < self.snr < math.inf:
+            raise ValueError("snr must be positive and finite")
         parse_covariance(self.covariance)
         if self.snr is not None and self.noise == "cauchy":
             raise ValueError("SNR calibration is undefined for Cauchy noise")
@@ -79,13 +81,6 @@ class SyntheticSpec:
         if self.beta_pattern == "hetero" and (self.noise, self.noise_var, self.snr) != ("normal", 1.0, None):
             raise ValueError("hetero pattern fixes its noise at 0.7 x1 N(0,1): "
                              "it needs normal noise, noise_var 1 and no snr")
-
-    @staticmethod
-    def random_support_sizes(p):
-        """Default (s*, n) for the random-support design: s* = floor(0.5 sqrt(p)),
-        n = floor(2 s* log p)."""
-        s = int(math.floor(0.5 * math.sqrt(p)))
-        return s, int(math.floor(2 * s * math.log(p)))
 
 
 @dataclass(frozen=True)
@@ -116,6 +111,8 @@ def noise_sd(kind, var=1.0):
 
 
 def _draw_noise(gen, kind, count, var):
+    """``count`` i.i.d. draws of noise ``kind`` from ``gen``; the mn2 mixture
+    draws a fresh sigma per sample."""
     if kind == "normal":
         return math.sqrt(var) * _normals(gen, count)
     if kind == "mn1":
@@ -137,13 +134,6 @@ def _draw_noise(gen, kind, count, var):
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def sample_noise(kind, count, seed, var=1.0):
-    """i.i.d. noise draws; the mn2 mixture draws a fresh sigma per sample."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return _draw_noise(_generator(seed), kind, count, var)
-
-
 def _beta_pattern(gen, pattern, p):
     if pattern == "alternating-decay":
         j = np.arange(1, p + 1, dtype=float)
@@ -155,7 +145,7 @@ def _beta_pattern(gen, pattern, p):
         beta[:16] = FIXED16
         return beta
     if pattern == "random-support":
-        s, _ = SyntheticSpec.random_support_sizes(p)
+        s = int(math.floor(0.5 * math.sqrt(p)))  # s* = floor(0.5 sqrt(p))
         beta = np.zeros(p)
         idx = gen.choice(p, size=s, replace=False)
         beta[np.sort(idx)] = _normals(gen, s)

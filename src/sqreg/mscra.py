@@ -14,7 +14,7 @@ from .admm import admm_solve
 from .pdsn import SolverError, SubproblemSpec, ppa_solve
 from .pdsn import kkt_residual as stage_kkt_residual
 from .problem import matrix_norms, nonzero_count
-from .surrogate import SurrogateFamily, scad
+from .surrogate import SurrogateFamily
 
 RHO_CAP = 1e8       # stages 2-3 keep rho_k <= RHO_CAP / ||beta||_inf
 RHO_GROWTH = 1.25   # stages 2-3 grow rho_k by at most this factor
@@ -28,28 +28,19 @@ ERR_CHANGE_TOL = 1e-6
 
 @dataclass
 class MscraConfig:
-    """Driver configuration.
-
-    Exactly one of ``lam`` and ``nu`` is required (lambda = rho0/nu with
-    rho0 = 1). The stage-0 weights are w^0 = 0, so stage 1 is the plain
-    weighted-l1 fit with weights lambda.
+    """Driver configuration: the penalty level ``lam`` is required. The
+    stage-0 weights are w^0 = 0, so stage 1 is the plain weighted-l1 fit
+    with weights lambda.
     """
 
     tau: float = 0.5
     lam: float = None
-    nu: float = None
-    surrogate: SurrogateFamily = field(default_factory=scad)
+    surrogate: SurrogateFamily = field(default_factory=lambda: SurrogateFamily("scad"))
     solver: str = "pdsn"
 
     def __post_init__(self):
-        if (self.lam is None) == (self.nu is None):
-            raise ValueError("specify exactly one of lam and nu")
-        if not 0.0 < (self.nu if self.lam is None else self.lam) < float("inf"):
-            raise ValueError("lambda and nu must be positive and finite")
-        if self.lam is None:
-            self.lam = 1.0 / self.nu
-        else:
-            self.nu = 1.0 / self.lam
+        if self.lam is None or not 0.0 < self.lam < float("inf"):
+            raise ValueError("lambda must be positive and finite")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must be in (0,1)")
         if self.solver not in ("pdsn", "admm"):
@@ -108,14 +99,18 @@ def rho_schedule(k, beta, prev_rho):
 
 def lambda_grid(problem, gamma_min, gamma_max, count):
     """Nondecreasing grid lambda_i = max(0.01, gamma_i ||X||_1 / n) with
-    gamma_i linear from gamma_min to gamma_max."""
-    if not 0.0 < gamma_min <= gamma_max:
-        raise ValueError("need 0 < gamma_min <= gamma_max")
+    gamma_i linear from gamma_min to gamma_max; every lambda_i is finite."""
+    if not 0.0 < gamma_min <= gamma_max < float("inf"):
+        raise ValueError("need 0 < gamma_min <= gamma_max < inf")
     if count < 1:
         raise ValueError("count must be >= 1")
     scale = matrix_norms(problem.design).col_sum / problem.n
     gammas = np.linspace(gamma_min, gamma_max, count) if count > 1 else np.array([gamma_min])
-    return np.maximum(0.01, gammas * scale)
+    with np.errstate(over="ignore"):
+        lams = np.maximum(0.01, gammas * scale)
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lambda grid overflows: gamma_max ||X||_1 / n is not finite")
+    return lams
 
 
 def _solve_stage(spec, cfg, warm):

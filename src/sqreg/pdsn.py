@@ -214,11 +214,6 @@ class _DualWork:
         pb = np.sign(self.q1) * np.abs(self.pb)
         return self.y - self.pz - self.X @ pb, pb
 
-    def gradient(self, u, Xtu):
-        """(Phi(u), beta image at u); see gradient_here."""
-        self.value(u, Xtu)
-        return self.gradient_here()
-
     def active_gram(self, mask):
         """X_J X_J^T over the active columns J = mask."""
         Xa = self.X[:, mask]

@@ -21,13 +21,20 @@ KINDS = ("capped-l1", "scad", "mcp")
 
 @dataclass(frozen=True)
 class SurrogateFamily:
+    """The family ``kind`` with shape ``a``: scad and mcp take 3.7 when it is
+    None; capped-l1 has no shape parameter and needs None."""
+
     kind: str
-    a: float = float("nan")
+    a: float = None
     coef: tuple = field(init=False, repr=False, compare=False)  # (A, B, C)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown surrogate kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind == "capped-l1" and self.a is not None:
+            raise ValueError("the capped-l1 surrogate takes no --a")
+        if self.kind != "capped-l1" and self.a is None:
+            object.__setattr__(self, "a", 3.7)
         if self.kind == "scad" and not self.a > 1.0:
             raise ValueError("scad family needs a > 1")
         if self.kind == "mcp" and not self.a > 2.0:
@@ -119,25 +126,3 @@ class SurrogateFamily:
         tau_bar = max(tau, 1.0 - tau)
         num = (2.0 * A + B) * (1.0 - self.t_star()) * tau_bar * nu * spectral_norm
         return num / (1.0 - self.t_zero())
-
-
-def capped_l1():
-    return SurrogateFamily("capped-l1")
-
-
-def scad(a=3.7):
-    return SurrogateFamily("scad", a)
-
-
-def mcp(a=3.7):
-    return SurrogateFamily("mcp", a)
-
-
-def from_name(name, a=None):
-    """Build a family from its CLI name; ``a`` shapes scad and mcp (3.7 when
-    None) and must be None for capped-l1, which has no shape parameter."""
-    if name == "capped-l1":
-        if a is not None:
-            raise ValueError("the capped-l1 surrogate takes no --a")
-        return capped_l1()
-    return SurrogateFamily(name, 3.7 if a is None else a)

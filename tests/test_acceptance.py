@@ -17,16 +17,14 @@ from sqreg import (
     MscraConfig,
     QuantileProblem,
     SubproblemSpec,
+    SurrogateFamily,
     SyntheticSpec,
     admm_solve,
-    capped_l1,
     check_loss,
     generate,
     lambda_grid,
-    mcp,
     mscra_fit,
     ppa_solve,
-    scad,
     selection_metrics,
     support_mask,
 )
@@ -92,7 +90,8 @@ def test_c2_dual_gradient():
         for _ in range(10):
             u = 0.05 * rng.standard_normal(20)
             for work in works:
-                phi, *_ = work.gradient(u, X.T @ u)
+                work.value(u, X.T @ u)
+                phi, _ = work.gradient_here()
                 h = 1e-6
                 scale = max(1.0, np.max(np.abs(phi)))
                 for i in range(20):
@@ -178,11 +177,14 @@ def test_c5_surrogate_identities():
     t = np.linspace(-8, 8, 10_000)
     lam = 0.9
     a = 3.7
-    e1 = np.max(np.abs(scad(a).h_rho(2 / ((a + 1) * lam), t) * ((a + 1) * lam**2 / 2) - scad_penalty(t, lam, a)))
+    scad = SurrogateFamily("scad", a)
+    e1 = np.max(np.abs(scad.h_rho(2 / ((a + 1) * lam), t) * ((a + 1) * lam**2 / 2) - scad_penalty(t, lam, a)))
     a2 = 3.0
-    e2 = np.max(np.abs(mcp(a2).h_rho(1 / lam, t) * (a2 * lam**2 / 2) - mcp_penalty(t, lam, a2)))
+    mcp = SurrogateFamily("mcp", a2)
+    e2 = np.max(np.abs(mcp.h_rho(1 / lam, t) * (a2 * lam**2 / 2) - mcp_penalty(t, lam, a2)))
     alpha = 1.3
-    e3 = np.max(np.abs(capped_l1().h_rho(1 / alpha, t) * (lam * alpha) - capped_l1_penalty(t, lam, alpha)))
+    capped = SurrogateFamily("capped-l1")
+    e3 = np.max(np.abs(capped.h_rho(1 / alpha, t) * (lam * alpha) - capped_l1_penalty(t, lam, alpha)))
     wall = time.perf_counter() - t0
     assert max(e1, e2, e3) < 1e-8
     assert wall < 1.0
@@ -197,7 +199,7 @@ def test_c6_mm_monotonicity(monkeypatch):
     monkeypatch.setattr(pdsn, "EPS_PPA_FLOOR", 1e-10)
     run_stages(monkeypatch, 6)
     t0 = time.perf_counter()
-    fam = scad(3.7)
+    fam = SurrogateFamily("scad", 3.7)
     lam, rho = 0.15, 1.0
     monkeypatch.setattr(mscra, "rho_schedule", lambda k, beta, prev_rho: (rho, False))
     nu = 1.0 / lam

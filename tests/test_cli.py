@@ -363,7 +363,12 @@ def test_usage_error_exit_code(tmp_path, capsys):
                  ["datagen", "--n", "30", "--p", "20", "--pattern", "hetero", "--snr", "5",
                   "--out", str(tmp_path / "h")],
                  ["bench", "--model", "hetero", "--n", "30", "--p", "20", "--noise", "cauchy",
-                  "--noise-var", "50", "--reps", "1", "--threads", "1"]):
+                  "--noise-var", "50", "--reps", "1", "--threads", "1"],
+                 ["datagen", "--n", "10", "--p", "20", "--snr", "0", "--out", str(tmp_path / "s")],
+                 ["datagen", "--n", "10", "--p", "20", "--snr", "-3", "--out", str(tmp_path / "s")],
+                 ["datagen", "--n", "10", "--p", "20", "--noise-var", "nan", "--out", str(tmp_path / "s")],
+                 ["lambda-sweep", "--n", "10", "--p", "20", "--count", "2", "--snr", "0"],
+                 ["lambda-sweep", "--n", "20", "--p", "30", "--count", "2", "--gamma-max", "inf"]):
         try:
             code = run(argv)
         except SystemExit as exc:
@@ -405,11 +410,8 @@ def test_fit_explicit_penalty_skips_default_lambda(tmp_path, monkeypatch):
     import sqreg.cli as C
 
     def no_grid(*args, **kwargs):
-        raise AssertionError("default lambda computed although --lambda/--nu was given")
+        raise AssertionError("default lambda computed although --lambda was given")
 
     data = write_small_csv(tmp_path)
     monkeypatch.setattr(C, "lambda_grid", no_grid)
     assert run(["fit", data, "--lambda", "0.1", "--out", str(tmp_path / "a.json")]) == 0
-    assert run(["fit", data, "--nu", "10", "--out", str(tmp_path / "b.json")]) == 0
-    a = mask_wall((tmp_path / "a.json").read_text())
-    assert a == mask_wall((tmp_path / "b.json").read_text())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqreg import SyntheticSpec, generate, selection_metrics
-from sqreg.datagen import FIXED16, noise_sd, parse_covariance, sample_noise
+from sqreg.datagen import FIXED16, _draw_noise, _generator, noise_sd, parse_covariance
 
 
 def test_spec_validation():
@@ -20,6 +20,12 @@ def test_spec_validation():
     for noise in ({"noise": "cauchy"}, {"noise_var": 9.0}, {"snr": 5.0}):
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, p=20, beta_pattern="hetero", **noise)
+    # noise settings that would reach the sampler as a bad scale
+    for noise in ({"noise_var": 0.0}, {"noise_var": -1.0}, {"noise_var": float("nan")},
+                  {"noise_var": float("inf")}, {"snr": 0.0}, {"snr": -3.0},
+                  {"snr": float("nan")}, {"snr": float("inf")}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SyntheticSpec(n=10, p=20, **noise)
     assert parse_covariance("cs:0.6") == ("cs", 0.6)
 
 
@@ -33,9 +39,8 @@ def test_fixed16_vector():
 
 
 def test_random_support_sizes():
-    s, n = SyntheticSpec.random_support_sizes(15000)
-    assert s == 61
-    assert n == int(math.floor(2 * 61 * math.log(15000)))
+    ds = generate(SyntheticSpec(n=1, p=15000, beta_pattern="random-support", seed=3))
+    assert np.count_nonzero(ds.beta_true) == 61  # floor(0.5 sqrt(15000))
     ds = generate(SyntheticSpec(n=30, p=100, beta_pattern="random-support", seed=3))
     assert len(ds.support) == 5  # floor(0.5 sqrt(100))
 
@@ -74,17 +79,17 @@ def test_sigma_quad_form_matches_dense():
 
 
 def test_noise_moments():
-    lap = sample_noise("laplace", 1_000_000, seed=5)
+    lap = _draw_noise(_generator(5), "laplace", 1_000_000, 1.0)
     assert abs(np.mean(np.abs(lap)) - 1.0) < 0.01
-    mn1 = sample_noise("mn1", 1_000_000, seed=6)
+    mn1 = _draw_noise(_generator(6), "mn1", 1_000_000, 1.0)
     assert abs(np.var(mn1) - 3.4) < 0.05
-    cau = sample_noise("cauchy", 1_000_000, seed=7)
+    cau = _draw_noise(_generator(7), "cauchy", 1_000_000, 1.0)
     assert abs(np.median(cau)) < 0.01
-    t4 = sample_noise("t4", 1_000_000, seed=8)
+    t4 = _draw_noise(_generator(8), "t4", 1_000_000, 1.0)
     assert abs(np.var(t4) - 4.0) < 0.2  # heavy tail: loose check
-    nrm = sample_noise("normal", 500_000, seed=9, var=2.0)
+    nrm = _draw_noise(_generator(9), "normal", 500_000, 2.0)
     assert abs(np.var(nrm) - 2.0) < 0.02
-    mn2 = sample_noise("mn2", 500_000, seed=10)
+    mn2 = _draw_noise(_generator(10), "mn2", 500_000, 1.0)
     assert abs(np.var(mn2) - 31.0 / 3.0) < 0.2
 
 

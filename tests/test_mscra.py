@@ -5,6 +5,7 @@ from sqreg import (
     MscraConfig,
     QuantileProblem,
     SubproblemSpec,
+    SurrogateFamily,
     SyntheticSpec,
     check_loss,
     generate,
@@ -12,7 +13,6 @@ from sqreg import (
     mscra_fit,
     ppa_solve,
     rho_schedule,
-    scad,
     selection_metrics,
 )
 from sqreg import mscra, pdsn
@@ -30,15 +30,12 @@ def run_stages(monkeypatch, count):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MscraConfig(lam=0.1, nu=10.0)
-    with pytest.raises(ValueError):
         MscraConfig()
-    for kwargs in ({"lam": 0.0}, {"nu": 0.0}, {"lam": -1.0}, {"nu": -2.0},
-                   {"lam": float("nan")}, {"nu": float("inf")}):
+    with pytest.raises(TypeError):  # lam is the one way to set lambda
+        MscraConfig(nu=4.0)
+    for kwargs in ({"lam": 0.0}, {"lam": -1.0}, {"lam": float("nan")}, {"lam": float("inf")}):
         with pytest.raises(ValueError, match="must be positive"):
             MscraConfig(**kwargs)
-    cfg = MscraConfig(nu=4.0)
-    assert cfg.lam == pytest.approx(0.25)
 
 
 def test_single_stage_is_plain_l1_fit(monkeypatch):
@@ -101,7 +98,7 @@ def test_rho_monotone_and_frozen_after_stage3(monkeypatch):
 def test_w_stationarity_inclusion():
     # rho_k |beta_i| must lie in the psi subdifferential at w_i: Fenchel equality
     problem, _ = make_problem(5, 60, 30, sparsity=5, noise=0.2)
-    fam = scad(3.7)
+    fam = SurrogateFamily("scad", 3.7)
     cfg = MscraConfig(tau=0.5, lam=0.07, surrogate=fam)
     final, history = mscra_fit(problem, cfg)
     for st in history:
@@ -147,6 +144,12 @@ def test_lambda_grid():
     assert g2[-1] == pytest.approx(max(0.01, 0.25 * scale))
     tiny = QuantileProblem(np.full((4, 2), 1e-6), np.zeros(4), tau=0.5)
     assert np.all(lambda_grid(tiny, 0.02, 0.25, 5) == 0.01)
+    # a grid with a non-finite lambda is an input error, not a solver failure
+    big = QuantileProblem(np.full((2, 3), 10.0), np.ones(2), tau=0.5)
+    assert lambda_grid(big, 0.1, 1e307, 3)[-1] == 1e308
+    for gamma_max in (float("inf"), 1e308):  # 1e308 * ||X||_1 / n overflows
+        with pytest.raises(ValueError):
+            lambda_grid(big, 0.1, gamma_max, 3)
 
 
 def test_mm_monotone_small(monkeypatch):
@@ -156,7 +159,7 @@ def test_mm_monotone_small(monkeypatch):
     rho = 1.0
     monkeypatch.setattr(mscra, "rho_schedule", lambda k, beta, prev_rho: (rho, False))
     problem, _ = make_problem(9, 30, 60, sparsity=4, noise=0.3)
-    fam = scad(3.7)
+    fam = SurrogateFamily("scad", 3.7)
     lam = 0.12
     cfg = MscraConfig(tau=0.5, lam=lam, surrogate=fam)
     final, history = mscra_fit(problem, cfg)

@@ -32,7 +32,8 @@ def psi(work, u):
 
 
 def phi(work, u):
-    return work.gradient(u, work.X.T @ u)[0]
+    work.value(u, work.X.T @ u)
+    return work.gradient_here()[0]
 
 
 def lp_oracle(problem, weights):
@@ -227,7 +228,8 @@ def test_newton_residual_and_gap(rng):
     res /= 1.0 + np.linalg.norm(spec.problem.response)
     assert res <= 1e-8
     # primal-dual gap of the regularized subproblem at the recovered primal
-    _, pb = work.gradient(u, work.X.T @ u)
+    work.value(u, work.X.T @ u)
+    _, pb = work.gradient_here()
     reg_primal = spec.objective(pb)
     reg_primal += 0.5 * work.g * np.sum((pb - work.bj) ** 2)
     reg_primal += 0.5 * work.g * np.sum((work.X @ (pb - work.bj)) ** 2)

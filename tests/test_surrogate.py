@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sqreg import SurrogateFamily, capped_l1, mcp, scad
+from sqreg import SurrogateFamily
 
-FAMILIES = [capped_l1(), scad(3.0), scad(3.7), mcp(4.0), mcp(3.7)]
+FAMILIES = [SurrogateFamily("capped-l1"), SurrogateFamily("scad", 3.0), SurrogateFamily("scad", 3.7),
+            SurrogateFamily("mcp", 4.0), SurrogateFamily("mcp", 3.7)]
 
 
 def psi_star_grid_oracle(fam, s, step=1e-5):
@@ -29,14 +30,17 @@ def test_construction_validation():
         for a in (float("inf"), float("nan"), 1e308):  # 1e308**2 overflows
             with pytest.raises(ValueError):
                 SurrogateFamily(kind, a)
+        assert SurrogateFamily(kind) == SurrogateFamily(kind, 3.7)  # a defaults to 3.7
+    with pytest.raises(ValueError, match="takes no"):
+        SurrogateFamily("capped-l1", 3.7)
 
 
 def test_phi_values():
-    assert capped_l1().phi(0.7) == 0.7
-    assert scad(3.0).phi(1.0) == pytest.approx(1.0)
+    assert SurrogateFamily("capped-l1").phi(0.7) == 0.7
+    assert SurrogateFamily("scad", 3.0).phi(1.0) == pytest.approx(1.0)
     # a=3: phi(t) = 0.5 t^2 + 0.5 t
-    assert scad(3.0).phi(0.4) == pytest.approx(0.5 * 0.16 + 0.2)
-    assert mcp(4.0).phi(1.0) == pytest.approx(4.0 - 8.0 + 4.0 + 1.0)
+    assert SurrogateFamily("scad", 3.0).phi(0.4) == pytest.approx(0.5 * 0.16 + 0.2)
+    assert SurrogateFamily("mcp", 4.0).phi(1.0) == pytest.approx(4.0 - 8.0 + 4.0 + 1.0)
 
 
 def test_phi_family_conditions():
@@ -48,10 +52,10 @@ def test_phi_family_conditions():
 
 
 def test_psi_star_paper_values():
-    c = capped_l1()
+    c = SurrogateFamily("capped-l1")
     assert c.psi_star(0.5) == 0.0
     assert c.psi_star(2.0) == 1.0
-    s3 = scad(3.0)
+    s3 = SurrogateFamily("scad", 3.0)
     assert s3.psi_star(1.0) == pytest.approx(((4 * 1 - 2) ** 2) / 32.0)  # 0.125
 
 
@@ -76,12 +80,12 @@ def test_psi_star_monotone_convex(rng):
 
 
 def test_h_rho_paper_values():
-    c = capped_l1()
+    c = SurrogateFamily("capped-l1")
     assert c.h_rho(2.0, 0.3) == pytest.approx(0.6)
     assert c.h_rho(2.0, 1.0) == pytest.approx(1.0)
     for fam in FAMILIES:
         assert fam.h_rho(1.7, 0.0) == 0.0
-    s3 = scad(3.0)
+    s3 = SurrogateFamily("scad", 3.0)
     assert s3.h_rho(1.0, 1.0) == pytest.approx(1.0 - 0.125)
 
 
@@ -96,21 +100,22 @@ def test_h_rho_range_and_monotone(rng):
 
 
 def test_w_update_closed_forms():
-    s3 = scad(3.0)
+    s3 = SurrogateFamily("scad", 3.0)
     assert s3.w_update(2.0, 0.5) == pytest.approx(0.5)
     # tie at rho*b = 1 resolves to 0 for the capped-l1 family
-    c = capped_l1()
+    c = SurrogateFamily("capped-l1")
     assert c.w_update(2.0, 0.5) == 0.0
     assert c.w_update(2.0, 0.51) == 1.0
     # zero beta: minimizer of phi over [0,1]
     assert c.w_update(1.0, 0.0) == 0.0
-    assert scad(3.7).w_update(1.0, 0.0) == 0.0
-    assert mcp(4.0).w_update(1.0, 0.0) == pytest.approx(0.5)  # t* = 1 - 2/a
+    assert SurrogateFamily("scad", 3.7).w_update(1.0, 0.0) == 0.0
+    assert SurrogateFamily("mcp", 4.0).w_update(1.0, 0.0) == pytest.approx(0.5)  # t* = 1 - 2/a
 
 
 def test_w_update_matches_grid_oracle(rng):
     fine = np.arange(0.0, 1.0 + 1e-6, 1e-6)
-    assert scad(3.0).w_update(2.0, 0.5) == pytest.approx(w_grid_oracle(scad(3.0), 2.0, 0.5, fine), abs=1e-4)
+    s3 = SurrogateFamily("scad", 3.0)
+    assert s3.w_update(2.0, 0.5) == pytest.approx(w_grid_oracle(s3, 2.0, 0.5, fine), abs=1e-4)
     grid = np.arange(0.0, 1.0 + 1e-5, 1e-5)
     for fam in FAMILIES:
         phi_grid = fam.phi(grid)
@@ -155,22 +160,22 @@ def test_penalty_identities():
     t = np.linspace(-8.0, 8.0, 10001)
     lam = 0.7
     a = 3.7
-    fam = scad(a)
+    fam = SurrogateFamily("scad", a)
     nu = 2.0 / ((a + 1) * lam**2)
     rho = 2.0 / ((a + 1) * lam)
     assert np.max(np.abs(fam.h_rho(rho, t) / nu - scad_penalty(t, lam, a))) < 1e-8
-    fam = mcp(3.2)
+    fam = SurrogateFamily("mcp", 3.2)
     nu = 2.0 / (3.2 * lam**2)
     rho = 1.0 / lam
     assert np.max(np.abs(fam.h_rho(rho, t) / nu - mcp_penalty(t, lam, 3.2))) < 1e-8
     alpha = 1.4
     rho = 1.0 / alpha
     nu = rho / lam
-    assert np.max(np.abs(capped_l1().h_rho(rho, t) / nu - capped_l1_penalty(t, lam, alpha))) < 1e-8
+    assert np.max(np.abs(SurrogateFamily("capped-l1").h_rho(rho, t) / nu - capped_l1_penalty(t, lam, alpha))) < 1e-8
 
 
 def test_exact_penalty_threshold():
-    c = capped_l1()
+    c = SurrogateFamily("capped-l1")
     assert c.exact_penalty_threshold(1.0, 2.0, 0.5) == pytest.approx(1.0)
     # linear in nu
     assert c.exact_penalty_threshold(2.0, 2.0, 0.5) == pytest.approx(2.0)

@@ -5,14 +5,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqreg import capped_l1, mcp, scad
+from sqreg import SurrogateFamily
 
 EPS = np.finfo(float).eps
 
 families = st.one_of(
-    st.just(capped_l1()),
-    st.floats(1.0, 50.0, exclude_min=True).map(scad),
-    st.floats(2.0, 50.0, exclude_min=True).map(mcp),
+    st.just(SurrogateFamily("capped-l1")),
+    st.floats(1.0, 50.0, exclude_min=True).map(lambda a: SurrogateFamily("scad", a)),
+    st.floats(2.0, 50.0, exclude_min=True).map(lambda a: SurrogateFamily("mcp", a)),
 )
 levels = st.floats(0.0, 100.0)  # rho |beta|, s and |t|
 rhos = st.floats(1e-3, 100.0)
@@ -84,7 +84,7 @@ def w_update_expressions(kind, a, rho, b):
 
 @settings(max_examples=300, deadline=None)
 @given(fam=families, rho=rhos, b=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
-@example(fam=capped_l1(), rho=2.0, b=[0.5, -0.5, 0.25])  # the tie rho |b| = 1 gives 0
+@example(fam=SurrogateFamily("capped-l1"), rho=2.0, b=[0.5, -0.5, 0.25])  # the tie rho |b| = 1 gives 0
 def test_w_update_pinned_to_family_expressions(fam, rho, b):
     # fit bits depend on these roundings: the generic clip((s - B)/(2A))
     # differs from them in the last bit

@@ -214,8 +214,13 @@ def generate(spec):
         kappa = 1.0
         if spec.snr is not None:
             signal = math.sqrt(_sigma_quad_form(beta, spec.covariance))
-            kappa = signal / (spec.snr * noise_sd(spec.noise, spec.noise_var))
-        y = X @ beta + kappa * eps
+            scale = spec.snr * noise_sd(spec.noise, spec.noise_var)
+            kappa = signal / scale if scale > 0.0 else math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = X @ beta + kappa * eps
+        if spec.snr is not None and not np.all(np.isfinite(y)):
+            raise ValueError(f"snr {spec.snr!r} is too small: the noise scale kappa "
+                             "overflows the response")
     problem = QuantileProblem(X, y, tau=0.5)
     return SyntheticDataset(problem=problem, beta_true=beta)
 

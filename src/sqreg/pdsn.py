@@ -152,7 +152,10 @@ class _DualWork:
         self.hi2 = self.tau / (self.n * self.g)
         self.lo2 = (self.tau - 1.0) / (self.n * self.g)
         self._lo[:n], self._hi[:n] = self.lo2, self.hi2
-        np.divide(self.omega, self.g, out=self._hi[n:])
+        # a finite weight so large that omega/g overflows gets the clip
+        # bound inf, which keeps its coefficient at 0 as the weight does
+        with np.errstate(over="ignore"):
+            np.divide(self.omega, self.g, out=self._hi[n:])
         np.negative(self._hi[n:], out=self._lo[n:])
 
     def value(self, u, Xtu):
@@ -387,12 +390,22 @@ def ppa_solve(spec, u0=None):
     The gamma and eps schedules and the iteration caps are the module
     constants (gamma_0 = min(0.1, R0), shrink 5/7, floor 1e-8, eps schedule
     1e-6 -> max(EPS_PPA_FLOOR, eps/10)).
+
+    Zero certificate: with u0_i = tau/n for y_i > 0 and (tau - 1)/n
+    otherwise (the check-loss subgradient at z = y, tie rule of
+    ``check_loss``), beta = 0 is optimal exactly when |X^T u0| <= weights.
+    Then the solve starts at (0, u0), whatever the anchor and the warm start,
+    and reports converged after 0 PPA steps; no dual workspace is built.
     """
     pr = spec.problem
     t0 = time.perf_counter()
     X = pr.design
-    beta = np.asarray(spec.anchor, dtype=float).copy()
-    u_kkt = np.zeros(pr.n) if u0 is None else np.asarray(u0, dtype=float).copy()
+    u_zero = np.where(pr.response > 0, pr.tau, pr.tau - 1.0) / pr.n
+    if np.all(np.abs(X.T @ u_zero) <= spec.weights):
+        beta, u_kkt = np.zeros(pr.p), u_zero
+    else:
+        beta = np.asarray(spec.anchor, dtype=float).copy()
+        u_kkt = np.zeros(pr.n) if u0 is None else np.asarray(u0, dtype=float).copy()
     err = kkt_residual(pr, beta, u_kkt, spec.weights)
     gamma = max(min(0.1, err), GAMMA_FLOOR)
     eps = EPS_PPA_0
@@ -404,7 +417,7 @@ def ppa_solve(spec, u0=None):
     last_phi_rel = float("nan")
     cur_obj = spec.objective(beta)
     stalls = 0
-    work = _DualWork(spec, beta, gamma)
+    work = None if converged else _DualWork(spec, beta, gamma)
     while not converged and ppa_iters < MAX_PPA_ITERS:
         u_psi, info = _newton_solve(work, u_psi, NEWTON_TOL_FACTOR * eps)
         total_newton += info["iters"]

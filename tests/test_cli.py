@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,24 @@ def test_fit_happy_path(tmp_path, capsys):
     assert rep["converged"]
     # round trip
     assert json.loads(json.dumps(rep)) == rep
+
+
+def test_huge_lambda_without_overflow(tmp_path):
+    # a finite lambda so large that omega / gamma overflows: without an
+    # intercept every stage subproblem is certified at beta = 0 and builds no
+    # dual workspace; the free intercept needs one, whose clip bounds are inf
+    data = write_small_csv(tmp_path)
+    out = tmp_path / "huge.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["fit", data, "--lambda", "1e308", "--out", str(out)]) == 0
+        assert run(["fit", data, "--lambda", "1e308", "--intercept",
+                    "--out", str(tmp_path / "huge-intercept.json")]) == 0
+        assert run(["lambda-sweep", "--n", "20", "--p", "30", "--count", "2",
+                    "--gamma-max", "1e308", "--out", str(tmp_path / "huge.csv")]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["beta"] == []
+    assert [s["solver_iters"] for s in rep["stages"]] == [0] * len(rep["stages"])
 
 
 def test_fit_missing_file(tmp_path, capsys):
@@ -368,7 +387,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
                  ["datagen", "--n", "10", "--p", "20", "--snr", "-3", "--out", str(tmp_path / "s")],
                  ["datagen", "--n", "10", "--p", "20", "--noise-var", "nan", "--out", str(tmp_path / "s")],
                  ["lambda-sweep", "--n", "10", "--p", "20", "--count", "2", "--snr", "0"],
-                 ["lambda-sweep", "--n", "20", "--p", "30", "--count", "2", "--gamma-max", "inf"]):
+                 ["lambda-sweep", "--n", "20", "--p", "30", "--count", "2", "--gamma-max", "inf"],
+                 ["datagen", "--n", "20", "--p", "20", "--snr", "1e-320", "--out", str(tmp_path / "s")],
+                 ["datagen", "--n", "20", "--p", "20", "--snr", "1e-320", "--noise-var", "1e-300",
+                  "--out", str(tmp_path / "s")]):
         try:
             code = run(argv)
         except SystemExit as exc:
@@ -377,6 +399,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
         assert "Traceback" not in err
+        if "--snr" in argv:
+            assert "snr" in err, (argv, err)
     with pytest.raises(SystemExit) as exc:
         run(["fit", "--help"])
     assert exc.value.code == 0

@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -350,6 +350,39 @@ def test_kkt_residual_zero_at_random_kkt_triples(n, tau, seed):
     e = np.zeros(n)
     e[i] = 1.0 / n if u[i] >= 0.5 * (lo + hi) else -1.0 / n
     assert kkt_residual(pr, beta, u + e, weights) > 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), p=st.integers(1, 8), tau=st.floats(0.05, 0.95),
+       seed=st.integers(0, 2**32 - 1))
+def test_ppa_zero_certificate(n, p, tau, seed):
+    # beta = 0 is optimal exactly when |X^T u0| <= omega, u0 the check-loss
+    # subgradient at z = y with the tie rule of check_loss; a certified
+    # subproblem returns beta = 0 at once, whatever the anchor and warm start
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+
+    def zero_gradient(y):  # |X^T u0|
+        return np.abs(X.T @ (np.where(y > 0, tau, tau - 1.0) / n))
+
+    y = rng.standard_normal(n) * (rng.random(n) < 0.8)  # zeros too: u0_i = (tau - 1)/n
+    pr = QuantileProblem(X, y, tau=tau)
+    g = zero_gradient(y)
+    weights = g + np.where(rng.random(p) < 0.5, 0.0, rng.uniform(0.0, 0.3, p))
+    spec = SubproblemSpec(problem=pr, weights=weights, anchor=rng.standard_normal(p))
+    state, report = ppa_solve(spec, u0=rng.standard_normal(n))
+    assert np.all(state.beta == 0.0)
+    assert (report.iterations, report.inner_iterations, report.converged) == (0, 0, True)
+    assert kkt_residual(pr, state.beta, state.u, weights) <= 1e-12
+    # half those weights: no response is 0, so u0 is the only subgradient
+    # at z = y and beta = 0 is not optimal once some |X^T u0|_j > 0
+    y = np.where(y == 0.0, 1.0, y)
+    pr = QuantileProblem(X, y, tau=tau)
+    g = zero_gradient(y)
+    assume(np.max(g) > 1e-3)
+    state, report = ppa_solve(SubproblemSpec(problem=pr, weights=0.5 * g))
+    assert report.iterations >= 1
+    assert np.any(state.beta != 0.0)
 
 
 def test_cg_branch_matches_dense(monkeypatch):

@@ -10,11 +10,10 @@ gap between the split objective and the box-constrained dual.
 import time
 
 import numpy as np
-from dataclasses import dataclass
 
 from .problem import check_loss, matrix_norms
 from .prox import prox_check_loss, prox_weighted_l1
-from .report import SolverReport
+from .report import SolverError, SolverReport, SolveState
 
 
 # Reference configuration. sigma starts at SIGMA0; the loop stops once
@@ -33,13 +32,6 @@ ADAPT_EVERY = 50
 ADAPT_FACTOR = 1.5
 ADAPT_LOW = 0.1
 ADAPT_HIGH = 10.0
-
-
-@dataclass
-class AdmmState:
-    beta: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
 
 
 def admm_beta_update(beta, s, spec, sigma, gamma_prox):
@@ -70,13 +62,14 @@ def _box_multiplier(u, tau, n):
 
 
 def dual_box_value(u, spec):
-    """Feasible dual value (max sense): clip -u into the check-loss subgradient
-    box, scale down so |X^T v| <= omega, and return <v, y>.
+    """Feasible dual value (max sense) at a multiplier u in the KKT
+    orientation, as SolveState.u holds it: clip u into the check-loss
+    subgradient box, scale down so |X^T v| <= omega, and return <v, y>.
 
     Strictly dual-feasible, so it lower-bounds the primal optimum (used by the
     weak-duality checks)."""
     pr = spec.problem
-    v = _box_multiplier(u, pr.tau, pr.n)
+    v = _box_multiplier(-u, pr.tau, pr.n)
     xv = np.abs(pr.design.T @ v)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(xv > spec.weights, spec.weights / xv, 1.0)
@@ -84,10 +77,14 @@ def dual_box_value(u, spec):
     return float(v @ pr.response)
 
 
-def admm_solve(spec, z0=None, u0=None):
-    """Run the semi-proximal ADMM; returns (AdmmState, SolverReport).
+def admm_solve(spec, u0=None):
+    """Run the semi-proximal ADMM; returns (SolveState, SolverReport).
 
-    Non-convergence at MAX_ITERS is flagged in the report, not raised.
+    u0 and the returned SolveState.u are the multiplier in the KKT
+    orientation, as for ``ppa_solve``. The loop runs on the sPADMM
+    multiplier -u (-u lies in the f_tau subgradient at z), from
+    beta = spec.anchor and z = y - X beta. Non-convergence at MAX_ITERS is
+    flagged in the report, not raised.
     """
     pr = spec.problem
     t0 = time.perf_counter()
@@ -97,8 +94,8 @@ def admm_solve(spec, z0=None, u0=None):
     sigma = SIGMA0
     gamma = sigma * xtx_norm
     beta = np.asarray(spec.anchor, dtype=float).copy()
-    z = (y - X @ beta) if z0 is None else np.asarray(z0, dtype=float).copy()
-    u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
+    z = y - X @ beta
+    u = np.zeros(n) if u0 is None else -np.asarray(u0, dtype=float)
     ynorm1 = 1.0 + np.linalg.norm(y)
     eps_pinf = eps_dinf = eps_gap = np.inf
     converged = False
@@ -144,10 +141,9 @@ def admm_solve(spec, z0=None, u0=None):
                 sigma /= ADAPT_FACTOR
                 gamma = sigma * xtx_norm
     if not np.all(np.isfinite(beta)) or not np.all(np.isfinite(u)):
-        raise FloatingPointError("ADMM produced non-finite iterates")
+        raise SolverError("ADMM produced non-finite iterates")
     if not converged and acc_count > 0:
         beta = beta_acc / acc_count  # ergodic output at the iteration cap
-        z = admm_z_update(X @ beta, u, spec, sigma)
     report = SolverReport(
         converged=converged,
         iterations=j,
@@ -157,4 +153,4 @@ def admm_solve(spec, z0=None, u0=None):
         inner_iterations=j,
         warnings=[] if converged else ["iteration cap reached"],
     )
-    return AdmmState(beta=beta, z=z, u=u), report
+    return SolveState(beta=beta, u=-u), report

@@ -19,9 +19,10 @@ import numpy as np
 
 from .admm import admm_solve
 from .datagen import BETA_PATTERNS, HETERO_MAIN, SyntheticSpec, generate, selection_metrics
-from .mscra import MscraConfig, StageFailure, lambda_grid, mscra_fit
-from .pdsn import SolverError, SubproblemSpec, ppa_solve
+from .mscra import MscraConfig, lambda_grid, mscra_fit
+from .pdsn import SubproblemSpec, ppa_solve
 from .problem import load_csv, nonzero_count, standardize, support_mask
+from .report import SolverError
 from .surrogate import KINDS, SurrogateFamily
 
 
@@ -139,7 +140,7 @@ def cmd_fit(args):
         "tau": args.tau,
         "lambda": cfg.lam,
         "stages": [s.record() for s in history],
-        "converged": final.stop_reason != "max_stages",
+        "converged": final.converged,
         "stop_reason": final.stop_reason,
         "wall_ms": wall,
     }
@@ -260,10 +261,12 @@ def cmd_tau_sweep(args):
 
 
 def _pin_blas_threads():
-    """Pool-worker initializer: one OpenBLAS thread per worker, so that
-    workers do not oversubscribe the cores and a worker's BLAS sums match
-    those of a single-threaded serial run. A numpy without its bundled
-    scipy-openblas library is left as it is."""
+    """One OpenBLAS thread in this process, so that its BLAS sums, and with
+    them every output, do not depend on the thread count. ``main`` calls it
+    for every command, and it is the pool-worker initializer, because a
+    worker started by forkserver or spawn does not inherit the setting; one
+    thread per worker also keeps workers from oversubscribing the cores. A
+    numpy without its bundled scipy-openblas library is left as it is."""
     libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
         setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
@@ -306,7 +309,7 @@ def _aggregate(scenario, records):
 def cmd_bench(args):
     hetero = args.pattern == "hetero"
     if args.noise_var is None:
-        args.noise_var = 1.0 if hetero else 2.0
+        args.noise_var = 2.0 if not hetero and args.noise == "normal" else 1.0
     specs = [_synthetic_spec(args, args.seed ^ r) for r in range(args.reps)]
     lam = args.lam
     if args.gamma is not None and lam is not None:
@@ -365,7 +368,8 @@ def build_parser():
     bn.add_argument("--p", type=int, default=1000)
     bn.add_argument("--cov", default="identity")
     bn.add_argument("--noise", default="normal")
-    bn.add_argument("--noise-var", type=float, default=None, help="default 2 (fixed16) or 1 (hetero)")
+    bn.add_argument("--noise-var", type=float, default=None,
+                    help="default 2 for fixed16 with normal noise, else 1")
     bn.add_argument("--gamma", type=float, default=None,
                     help="penalty scale when --lambda is not given; "
                          "default 0.116 (fixed16) or 0.1 (hetero)")
@@ -378,6 +382,7 @@ def build_parser():
 
 def main(argv=None):
     global _last_dataset
+    _pin_blas_threads()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -387,7 +392,7 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (StageFailure, SolverError, FloatingPointError) as exc:
+    except SolverError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     finally:

@@ -81,6 +81,9 @@ class SyntheticSpec:
         if self.beta_pattern == "hetero" and (self.noise, self.noise_var, self.snr) != ("normal", 1.0, None):
             raise ValueError("hetero pattern fixes its noise at 0.7 x1 N(0,1): "
                              "it needs normal noise, noise_var 1 and no snr")
+        if self.noise_var != 1.0 and (self.noise != "normal" or self.snr is not None):
+            raise ValueError("noise_var (--noise-var) scales normal noise only, and snr sets "
+                             "the noise scale itself: it must be 1 with other noise laws or snr")
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def generate(spec):
         if spec.snr is not None:
             signal = math.sqrt(_sigma_quad_form(beta, spec.covariance))
             scale = spec.snr * noise_sd(spec.noise, spec.noise_var)
-            kappa = signal / scale if scale > 0.0 else math.inf
+            kappa = signal / scale
         with np.errstate(over="ignore", invalid="ignore"):
             y = X @ beta + kappa * eps
         if spec.snr is not None and not np.all(np.isfinite(y)):

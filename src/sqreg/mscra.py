@@ -11,9 +11,10 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .admm import admm_solve
-from .pdsn import SolverError, SubproblemSpec, ppa_solve
+from .pdsn import SubproblemSpec, ppa_solve
 from .pdsn import kkt_residual as stage_kkt_residual
 from .problem import matrix_norms, nonzero_count
+from .report import SolverError
 from .surrogate import SurrogateFamily
 
 RHO_CAP = 1e8       # stages 2-3 keep rho_k <= RHO_CAP / ||beta||_inf
@@ -47,14 +48,6 @@ class MscraConfig:
             raise ValueError("solver must be 'pdsn' or 'admm'")
 
 
-class StageFailure(RuntimeError):
-    """A stage solver failed hard; carries the partial stage history."""
-
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = history
-
-
 @dataclass
 class StageState:
     k: int
@@ -65,6 +58,12 @@ class StageState:
     nnz: int
     solver_report: object
     stop_reason: str = ""
+
+    @property
+    def converged(self):
+        """The fit's verdict at its final stage: a stop rule ended it, not
+        MAX_STAGES, with Err_k <= STAGE_TOL."""
+        return self.stop_reason not in ("", "max_stages") and self.err_k <= STAGE_TOL
 
     def record(self):
         """The per-stage JSON record."""
@@ -113,31 +112,16 @@ def lambda_grid(problem, gamma_min, gamma_max, count):
     return lams
 
 
-def _solve_stage(spec, cfg, warm):
-    """Solve one stage warm started from ``warm``, the previous stage's
-    (z, u_kkt) or None; returns (beta, (z, u_kkt), report).
-
-    u_kkt is the multiplier in the KKT orientation: u_kkt lies in the f_tau
-    subgradient at z. pdsn starts from u_kkt alone and returns z = None;
-    admm starts from both.
-    """
-    z, u_kkt = warm or (None, None)
-    if cfg.solver == "pdsn":
-        state, report = ppa_solve(spec, u0=u_kkt)
-        return state.beta, (None, state.u), report
-    # the sPADMM multiplier satisfies -u in the f_tau subgradient at z
-    state, report = admm_solve(spec, z0=z, u0=None if u_kkt is None else -u_kkt)
-    return state.beta, (state.z, -state.u), report
-
-
 def mscra_fit(problem, cfg):
     """Run the multi-stage relaxation; returns (final StageState, history).
 
     Stage weights fed to the solver are lambda (1 - w^{k-1}), zero for an
-    intercept column; the solver is warm started with the previous stage's
-    solution. Termination: nonzero count stable over 4 stages with
+    intercept column; the configured solver is warm started at the previous
+    stage's beta and multiplier u. A solver's SolverError is raised again
+    naming the stage. Termination: nonzero count stable over 4 stages with
     Err_k <= STAGE_TOL; or stable over 3 stages with
-    |Err_k - Err_{k-2}| <= ERR_CHANGE_TOL; or MAX_STAGES.
+    |Err_k - Err_{k-2}| <= ERR_CHANGE_TOL; or MAX_STAGES. The final state's
+    ``converged`` is the verdict.
     """
     problem = problem.with_tau(cfg.tau)
 
@@ -150,19 +134,20 @@ def mscra_fit(problem, cfg):
     omega = stage_weights(np.zeros(problem.p))
     beta = np.zeros(problem.p)
     rho = 1.0
-    warm = None
+    u = None
     history = []
     reason = "max_stages"
     for k in range(1, MAX_STAGES + 1):
         spec = SubproblemSpec(problem=problem, weights=omega, anchor=beta)
         try:
-            beta, warm, report = _solve_stage(spec, cfg, warm)
-        except (FloatingPointError, SolverError) as exc:
-            raise StageFailure(f"stage {k} solver failed: {exc}", history) from exc
+            state, report = (ppa_solve if cfg.solver == "pdsn" else admm_solve)(spec, u0=u)
+        except SolverError as exc:
+            raise SolverError(f"stage {k} solver failed: {exc}") from exc
+        beta, u = state.beta, state.u
         rho, degenerate = rho_schedule(k, beta, rho)
         w = np.asarray(cfg.surrogate.w_update(rho, np.abs(beta)), dtype=float)
         omega = stage_weights(w)  # the next stage's weights
-        err_k = stage_kkt_residual(problem, beta, warm[1], omega)
+        err_k = stage_kkt_residual(problem, beta, u, omega)
         stage = StageState(k=k, beta=beta, w=w, rho=rho, err_k=err_k, nnz=nonzero_count(beta),
                            solver_report=report)
         history.append(stage)

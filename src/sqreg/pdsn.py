@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .problem import check_loss
 from .prox import prox_check_loss, prox_weighted_l1
-from .report import SolverReport
+from .report import SolverError, SolverReport, SolveState
 
 # Reference configuration. The proximal weight starts at gamma =
 # max(min(0.1, R0), GAMMA_FLOOR) with R0 the initial KKT residual and shrinks
@@ -38,10 +38,6 @@ MAX_ZOOM = 50    # line-search zoom steps
 NEWTON_MU = 1e-5  # regularization mu I of the Newton matrix
 DENSE_SOLVE_MAX_N = 2000  # above this n, the Newton system is solved by CG
 CG_TOL = 1e-9    # relative residual of the CG Newton solve
-
-
-class SolverError(RuntimeError):
-    """A subproblem solver failed numerically (not a non-convergence)."""
 
 
 @dataclass
@@ -69,12 +65,6 @@ class SubproblemSpec:
         val = check_loss(pr.response - pr.design @ beta, pr.tau)
         val += float(np.sum(self.weights * np.abs(beta)))
         return val
-
-
-@dataclass
-class PdsnState:
-    beta: np.ndarray
-    u: np.ndarray
 
 
 def kkt_residual(problem, beta, u, weights):
@@ -193,7 +183,7 @@ class _DualWork:
     def along(self, u, Xtu, d, Xtd):
         """The line-search evaluator a -> (Psi(u + a d), <grad Psi(u + a d), d>),
         with the stacked trial point formed in a buffer of this evaluator. A
-        non-finite Psi raises FloatingPointError.
+        non-finite Psi raises SolverError.
         """
         base = np.concatenate((u, Xtu))
         step = np.concatenate((d, Xtd))
@@ -204,7 +194,7 @@ class _DualWork:
             np.add(base, np.multiply(step, a, out=trial), out=trial)
             psi = self._value(trial, ua, Xtua)
             if not math.isfinite(psi):
-                raise FloatingPointError("non-finite dual value in line search")
+                raise SolverError("non-finite dual value in line search")
             return psi, self.dir_deriv(d, Xtd)
 
         return ev
@@ -282,28 +272,26 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
 
     The zoom trial point is the secant root of the directional derivative
     (piecewise linear here, so usually exact), clipped away from the bracket
-    ends; bisection is the fallback. Returns (alpha, psi, evals, ok). When ok,
+    ends; bisection is the fallback. Returns (alpha, psi, ok). When ok,
     alpha is the last point evaluated, so ``work`` still holds its prox
     arguments and images; the best-bisection fallback (not ok) may return an
     earlier one.
     """
 
     ev = work.along(u, Xtu, d, Xtd)
-    evals = 0
     a_prev, psi_prev, dpsi_prev = 0.0, psi0, dpsi0
     a = 1.0
     c1, c2 = WOLFE_C1, WOLFE_C2
     bracket = None
     for _ in range(30):
         psi_a, dpsi_a = ev(a)
-        evals += 1
         if psi_a > psi0 + c1 * a * dpsi0 or (a_prev > 0.0 and psi_a >= psi_prev):
-            bracket = (a_prev, psi_prev, dpsi_prev, a, psi_a, dpsi_a)
+            bracket = (a_prev, psi_prev, dpsi_prev, a, dpsi_a)
             break
         if abs(dpsi_a) <= c2 * abs(dpsi0):
-            return a, psi_a, evals, True
+            return a, psi_a, True
         if dpsi_a >= 0.0:
-            bracket = (a, psi_a, dpsi_a, a_prev, psi_prev, dpsi_prev)
+            bracket = (a, psi_a, dpsi_a, a_prev, dpsi_prev)
             break
         # still descending: extrapolate toward the secant root of the
         # (piecewise linear) derivative, growing at least 2x and at most 100x
@@ -313,8 +301,8 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
         a_prev, psi_prev, dpsi_prev = a, psi_a, dpsi_a
         a = min(max(2.0 * a, target), 100.0 * a)
     else:
-        return a_prev, psi_prev, evals, a_prev > 0.0
-    lo, psi_lo, dlo, hi, psi_hi, dhi = bracket
+        return a_prev, psi_prev, a_prev > 0.0
+    lo, psi_lo, dlo, hi, dhi = bracket
     best_a, best_psi = lo, psi_lo
     for _ in range(MAX_ZOOM):
         span = hi - lo
@@ -325,19 +313,18 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
         if not (left + margin <= a <= right - margin):
             a = 0.5 * (lo + hi)
         psi_a, dpsi_a = ev(a)
-        evals += 1
         if psi_a > psi0 + c1 * a * dpsi0 or psi_a >= psi_lo:
-            hi, psi_hi, dhi = a, psi_a, dpsi_a
+            hi, dhi = a, dpsi_a
         else:
             if abs(dpsi_a) <= c2 * abs(dpsi0):
-                return a, psi_a, evals, True
+                return a, psi_a, True
             if dpsi_a * (hi - lo) >= 0.0:
-                hi, psi_hi, dhi = lo, psi_lo, dlo
+                hi, dhi = lo, dlo
             lo, psi_lo, dlo = a, psi_a, dpsi_a
             best_a, best_psi = a, psi_a
         if abs(hi - lo) < 1e-16:
             break
-    return best_a, best_psi, evals, False
+    return best_a, best_psi, False
 
 
 def _newton_solve(work, u0, tol):
@@ -359,7 +346,7 @@ def _newton_solve(work, u0, tol):
         dpsi0 = work.dir_deriv(d, Xtd)
         if dpsi0 >= 0.0:  # numerically flat; nothing left to gain
             break
-        alpha, psi_a, _, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi, dpsi0)
+        alpha, psi_a, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi, dpsi0)
         if not ok and alpha == 0.0:
             warn.append("line search made no progress")
             break
@@ -379,13 +366,14 @@ def _newton_solve(work, u0, tol):
 
 
 def ppa_solve(spec, u0=None):
-    """Solve the weighted-l1 subproblem; returns (PdsnState, SolverReport).
+    """Solve the weighted-l1 subproblem; returns (SolveState, SolverReport).
 
     Parameters
     ----------
     spec : SubproblemSpec with the data, weights and warm-start anchor.
     u0 : optional warm-start multiplier in the KKT orientation
-        (u in the subgradient of f_tau at z = y - X beta).
+        (u in the subgradient of f_tau at z = y - X beta), as SolveState.u
+        holds it.
 
     The gamma and eps schedules and the iteration caps are the module
     constants (gamma_0 = min(0.1, R0), shrink 5/7, floor 1e-8, eps schedule
@@ -457,4 +445,4 @@ def ppa_solve(spec, u0=None):
         inner_iterations=total_newton,
         warnings=warnings,
     )
-    return PdsnState(beta=beta, u=u_kkt), report
+    return SolveState(beta=beta, u=u_kkt), report

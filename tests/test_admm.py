@@ -171,15 +171,15 @@ def test_zeta_zero_at_fixed_point(monkeypatch):
     assert max(report.residuals["eps_pinf"], report.residuals["eps_dinf"]) <= 1e-9
 
 
-def _admm_solve_reference(spec, z0=None, u0=None):
+def _admm_solve_reference(spec, u0=None):
     """The admm_solve loop that computed the duality gap on every iteration,
     kept as the oracle of the loop that computes it only when it can stop
     the loop and at the cap. Reads the module constants as they are set
-    when it is called."""
+    when it is called. u0 and the returned u are in the KKT orientation."""
     from sqreg.admm import (ADAPT_EVERY, ADAPT_FACTOR, ADAPT_HIGH, ADAPT_LOW, EPS_ADMM,
-                            MAX_ITERS, SIGMA0, STEP, TAIL_AVERAGE, AdmmState,
+                            MAX_ITERS, SIGMA0, STEP, TAIL_AVERAGE,
                             _box_multiplier, _split_objective)
-    from sqreg.report import SolverReport
+    from sqreg.report import SolveState, SolverReport
 
     pr = spec.problem
     X, y = pr.design, pr.response
@@ -188,8 +188,8 @@ def _admm_solve_reference(spec, z0=None, u0=None):
     sigma = SIGMA0
     gamma = sigma * xtx_norm
     beta = np.asarray(spec.anchor, dtype=float).copy()
-    z = (y - X @ beta) if z0 is None else np.asarray(z0, dtype=float).copy()
-    u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
+    z = y - X @ beta
+    u = np.zeros(n) if u0 is None else -np.asarray(u0, dtype=float)
     ynorm1 = 1.0 + np.linalg.norm(y)
     eps_pinf = eps_dinf = eps_gap = np.inf
     converged = False
@@ -230,8 +230,7 @@ def _admm_solve_reference(spec, z0=None, u0=None):
                 gamma = sigma * xtx_norm
     if not converged and acc_count > 0:
         beta = beta_acc / acc_count
-        z = admm_z_update(X @ beta, u, spec, sigma)
-    state = AdmmState(beta=beta, z=z, u=u)
+    state = SolveState(beta=beta, u=-u)
     report = SolverReport(
         converged=converged, iterations=j, objective=spec.objective(beta),
         residuals={"eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap},
@@ -268,21 +267,21 @@ def test_admm_loop_matches_reference_loop(monkeypatch):
     # each case's settings of the sqreg.admm constants; ADAPT_EVERY beyond
     # the cap turns sigma adaptation off
     cases = [
-        (converging, {}, None, None),
-        (converging, {}, warm.z, warm.u),
-        (adapting, {"MAX_ITERS": 600}, None, None),
-        (adapting, {"MAX_ITERS": 600, "TAIL_AVERAGE": 50}, None, None),
-        (adapting, {"MAX_ITERS": 600, "TAIL_AVERAGE": 50, "ADAPT_EVERY": 601}, None, None),
+        (converging, {}, None),
+        (converging, {}, warm.u),
+        (adapting, {"MAX_ITERS": 600}, None),
+        (adapting, {"MAX_ITERS": 600, "TAIL_AVERAGE": 50}, None),
+        (adapting, {"MAX_ITERS": 600, "TAIL_AVERAGE": 50, "ADAPT_EVERY": 601}, None),
     ]
     calls = _recording_z_update(monkeypatch)
     outcomes = []
-    for spec, settings, z0, u0 in cases:
+    for spec, settings, u0 in cases:
         calls.clear()
         with monkeypatch.context() as m:
             for name, value in settings.items():
                 m.setattr(admm, name, value)
-            state, report = admm_solve(spec, z0=z0, u0=u0)
-            ref_state, ref_report = _admm_solve_reference(spec, z0=z0, u0=u0)
+            state, report = admm_solve(spec, u0=u0)
+            ref_state, ref_report = _admm_solve_reference(spec, u0=u0)
         assert _as_hex(vars(state)) == _as_hex(vars(ref_state))
         got, want = dict(vars(report)), dict(vars(ref_report))
         got.pop("wall_ms"), want.pop("wall_ms")

@@ -145,6 +145,25 @@ def test_bench_records_and_aggregate(tmp_path):
     assert not {"rep_mean", "rep_sd", "seed_mean", "seed_sd"} & agg.keys()
 
 
+def test_bench_noise_var_default(tmp_path, monkeypatch):
+    # bench's --noise-var defaults to 2 for normal fixed16 noise only; other
+    # laws take no variance, so bench --noise t4 runs at its default
+    import sqreg.cli as C
+
+    seen = []
+    orig = C.generate
+
+    def spy(spec):
+        seen.append((spec.noise, spec.noise_var))
+        return orig(spec)
+
+    monkeypatch.setattr(C, "generate", spy)
+    for noise in ("normal", "t4"):
+        assert run(["bench", "--noise", noise, "--n", "30", "--p", "20", "--reps", "1",
+                    "--threads", "1", "--out", str(tmp_path / "b.jsonl")]) == 0
+    assert seen == [("normal", 2.0), ("t4", 1.0)]
+
+
 def _zero_wall(obj):
     if isinstance(obj, dict):
         return {k: 0.0 if ("wall_ms" in k or "solver_ms" in k or "_ms_mean" in k or "_ms_sd" in k)
@@ -265,19 +284,25 @@ def test_tau_sweep_process_pool_matches_serial(tmp_path):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _tau_sweep_subprocess(extra_args, blas_threads):
-    """tau-sweep in a fresh interpreter; blas_threads None keeps the
-    library's default thread count. Returns the output without wall_ms."""
+def _sqreg_subprocess(args, blas_threads):
+    """The output of ``sqreg args`` in a fresh interpreter; blas_threads None
+    keeps the library's default thread count."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(sqreg.__file__)), env.get("PYTHONPATH", "")])
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    args = ["tau-sweep", "--n", "200", "--tau-min", "0.3", "--tau-max", "0.7",
-            "--tau-step", "0.2", "--reps", "2", "--seed", "2", *extra_args]
     proc = subprocess.run([sys.executable, "-m", "sqreg.cli", *args], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
-    return [line.rsplit(",", 1)[0] for line in proc.stdout.splitlines()]
+    return proc.stdout
+
+
+def _tau_sweep_subprocess(extra_args, blas_threads):
+    """A small tau-sweep in a fresh interpreter (see _sqreg_subprocess);
+    returns the output without wall_ms."""
+    args = ["tau-sweep", "--n", "200", "--tau-min", "0.3", "--tau-max", "0.7",
+            "--tau-step", "0.2", "--reps", "2", "--seed", "2", *extra_args]
+    return [line.rsplit(",", 1)[0] for line in _sqreg_subprocess(args, blas_threads).splitlines()]
 
 
 def test_pool_workers_pin_blas_threads():
@@ -288,6 +313,21 @@ def test_pool_workers_pin_blas_threads():
     serial = _tau_sweep_subprocess(["--threads", "1"], blas_threads=1)
     assert pooled[0] == "tau,l2_error" and len(pooled) == 4
     assert pooled == serial
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    # every command pins one BLAS thread in its own process: a fit and a
+    # serial tau-sweep print the same bytes with the thread variables unset
+    # and at 1 and 2 threads; unpinned, 2 threads changed this fit's err_k
+    # and this sweep's rows
+    stem = str(tmp_path / "d")
+    assert run(["datagen", "--n", "100", "--p", "300", "--noise-var", "2",
+                "--seed", "777000", "--out", stem]) == 0
+    fits = [mask_wall(_sqreg_subprocess(["fit", stem + ".csv", "--lambda", "0.11"], t))
+            for t in (None, 1, 2)]
+    sweeps = [_tau_sweep_subprocess(["--threads", "1"], t) for t in (None, 1, 2)]
+    assert fits[0].startswith('{"beta":') and fits[0] == fits[1] == fits[2]
+    assert len(sweeps[0]) == 4 and sweeps[0] == sweeps[1] == sweeps[2]
 
 
 @pytest.mark.parametrize("module", ["sqreg", "sqreg.cli"])
@@ -334,6 +374,20 @@ def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch):
     code = run(["fit", data, "--lambda", "0.1", "--out", str(out)])
     assert code == 2
     assert json.loads(out.read_text())["converged"] is False
+
+
+def test_fit_converged_needs_stage_tol(tmp_path, monkeypatch):
+    # "converged" means a stop rule ended the fit with err_k <= STAGE_TOL: a
+    # stop on a stable err_k above it is not a convergence
+    import sqreg.mscra as M
+
+    data = write_small_csv(tmp_path)
+    out = tmp_path / "tol.json"
+    monkeypatch.setattr(M, "STAGE_TOL", 0.0)
+    assert run(["fit", data, "--lambda", "0.1", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["stop_reason"] == "stable_nnz_and_err_change" and rep["err_k"] > 0.0
+    assert rep["converged"] is False
 
 
 def test_bench_deterministic(tmp_path):
@@ -390,7 +444,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
                  ["lambda-sweep", "--n", "20", "--p", "30", "--count", "2", "--gamma-max", "inf"],
                  ["datagen", "--n", "20", "--p", "20", "--snr", "1e-320", "--out", str(tmp_path / "s")],
                  ["datagen", "--n", "20", "--p", "20", "--snr", "1e-320", "--noise-var", "1e-300",
-                  "--out", str(tmp_path / "s")]):
+                  "--out", str(tmp_path / "s")],
+                 # --noise-var scales normal noise only, and snr sets the scale itself
+                 ["datagen", "--n", "20", "--p", "20", "--noise", "laplace", "--noise-var", "9",
+                  "--out", str(tmp_path / "s")],
+                 ["datagen", "--n", "20", "--p", "20", "--snr", "3", "--noise-var", "4",
+                  "--out", str(tmp_path / "s")],
+                 ["bench", "--noise", "t4", "--noise-var", "2", "--n", "30", "--p", "20",
+                  "--reps", "1", "--threads", "1"]):
         try:
             code = run(argv)
         except SystemExit as exc:
@@ -408,13 +469,23 @@ def test_usage_error_exit_code(tmp_path, capsys):
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     import sqreg.cli as C
-    from sqreg.mscra import StageFailure
-    from sqreg.pdsn import SolverError
+    import sqreg.mscra as M
+    from sqreg import SolverError
 
     data = write_small_csv(tmp_path)
-    for err in (StageFailure("stage 2 solver failed: boom", []),
-                SolverError("conjugate gradient failed on the Newton system"),
-                FloatingPointError("non-finite dual value in line search"),
+    # a solver's failure inside a fit names its stage; pdsn's and admm's
+    # numerical failures are both SolverError
+    for solver, message in (("pdsn", "non-finite dual value in line search"),
+                            ("admm", "ADMM produced non-finite iterates")):
+        def failing(spec, u0=None, message=message):
+            raise SolverError(message)
+
+        with monkeypatch.context() as m:
+            m.setattr(M, "ppa_solve" if solver == "pdsn" else "admm_solve", failing)
+            assert run(["fit", data, "--lambda", "0.1", "--solver", solver]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: stage 1 solver failed: {message}"]
+    for err in (SolverError("conjugate gradient failed on the Newton system"),
                 RuntimeError("not a solver failure")):
         def failing(problem, cfg, err=err):
             raise err

@@ -26,6 +26,13 @@ def test_spec_validation():
                   {"snr": float("nan")}, {"snr": float("inf")}):
         with pytest.raises(ValueError, match="positive and finite"):
             SyntheticSpec(n=10, p=20, **noise)
+    # noise_var scales normal noise only and has no effect under snr: a
+    # variance that would be ignored is an error that names the flag
+    for noise in ({"noise": "laplace", "noise_var": 9.0}, {"noise": "t4", "noise_var": 0.5},
+                  {"noise_var": 4.0, "snr": 3.0}):
+        with pytest.raises(ValueError, match="--noise-var"):
+            SyntheticSpec(n=10, p=20, **noise)
+    SyntheticSpec(n=10, p=20, noise="laplace", noise_var=1.0, snr=3.0)
     assert parse_covariance("cs:0.6") == ("cs", 0.6)
 
 

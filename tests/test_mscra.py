@@ -7,18 +7,22 @@ from sqreg import (
     SubproblemSpec,
     SurrogateFamily,
     SyntheticSpec,
+    admm_solve,
     check_loss,
     generate,
+    kkt_residual,
     lambda_grid,
     mscra_fit,
     ppa_solve,
     rho_schedule,
     selection_metrics,
+    support_mask,
 )
 from sqreg import mscra, pdsn
+from sqreg.admm import dual_box_value
 from sqreg.mscra import stage_kkt_residual
 
-from conftest import make_problem
+from conftest import make_problem, make_subproblem
 
 
 def run_stages(monkeypatch, count):
@@ -62,13 +66,13 @@ def test_stage1_weights_are_lambda(monkeypatch):
     seen = {}
     import sqreg.mscra as M
 
-    orig = M._solve_stage
+    orig = M.ppa_solve
 
-    def spy(spec, cfg, warm):
+    def spy(spec, u0=None):
         seen.setdefault("w", []).append(spec.weights.copy())
-        return orig(spec, cfg, warm)
+        return orig(spec, u0=u0)
 
-    monkeypatch.setattr(M, "_solve_stage", spy)
+    monkeypatch.setattr(M, "ppa_solve", spy)
     monkeypatch.setattr(M, "MAX_STAGES", 2)
     mscra_fit(problem, MscraConfig(tau=0.5, lam=0.2))
     assert np.allclose(seen["w"][0], 0.2)  # w0 = 0 so stage-1 weights are lambda e
@@ -128,6 +132,30 @@ def test_stage_kkt_after_solve():
     problem, _ = make_problem(6, 40, 20, sparsity=3, noise=0.2)
     final, history = mscra_fit(problem, MscraConfig(tau=0.5, lam=0.1))
     assert final.err_k <= 1e-5
+
+
+@pytest.mark.parametrize("solve", [ppa_solve, admm_solve])
+def test_solvers_share_the_multiplier_contract(solve):
+    # both solvers return u in the KKT orientation, so (beta, u) is a KKT
+    # pair of the subproblem, and both take it back as a warm start in that
+    # orientation; with -u the residual here is 0.068
+    spec, _ = make_subproblem(8, 25, 10, lam=0.3)
+    state, report = solve(spec)
+    assert report.converged
+    assert kkt_residual(spec.problem, state.beta, state.u, spec.weights) <= 1e-5
+    assert dual_box_value(state.u, spec) == pytest.approx(report.objective, rel=1e-5)
+    warm = SubproblemSpec(problem=spec.problem, weights=spec.weights, anchor=state.beta)
+    warm_state, warm_report = solve(warm, u0=state.u)
+    assert warm_report.converged and warm_report.iterations < report.iterations
+
+
+def test_admm_driven_fit_selects_pdsn_support():
+    problem, _ = make_problem(1, 40, 20, sparsity=4, noise=0.2)
+    pdsn_fit, _ = mscra_fit(problem, MscraConfig(tau=0.5, lam=0.1))
+    admm_fit, history = mscra_fit(problem, MscraConfig(tau=0.5, lam=0.1, solver="admm"))
+    assert pdsn_fit.converged and admm_fit.converged
+    assert np.array_equal(support_mask(admm_fit.beta), support_mask(pdsn_fit.beta))
+    assert np.max(np.abs(admm_fit.beta - pdsn_fit.beta)) <= 1e-4
 
 
 def test_lambda_grid():

@@ -4,14 +4,14 @@ Splitting  min f_tau(z) + ||omega o beta||_1  s.t.  X beta + z = y,
 with the semidefinite proximal term (1/2)||beta - beta^j||^2_{gamma I - sigma X^T X},
 gamma = sigma ||X^T X||, which makes the beta-update a soft threshold of a
 gradient step. Stopping combines primal/dual infeasibility and the duality
-gap between the split objective and the box-constrained dual.
+gap between the split objective and the feasible box dual value.
 """
 
 import time
 
 import numpy as np
 
-from .problem import check_loss, matrix_norms
+from .problem import matrix_norms
 from .prox import prox_check_loss, prox_weighted_l1
 from .report import SolverError, SolverReport, SolveState
 
@@ -51,29 +51,19 @@ def admm_z_update(Xb_new, u, spec, sigma):
     return prox_check_loss(pr.response - Xb_new - u / sigma, sigma, pr.tau, pr.n)
 
 
-def _split_objective(beta, z, spec):
-    pr = spec.problem
-    return check_loss(z, pr.tau) + float(np.sum(spec.weights * np.abs(beta)))
-
-
-def _box_multiplier(u, tau, n):
-    """-u clipped into the check-loss subgradient box [(tau-1)/n, tau/n]."""
-    return np.clip(-u, (tau - 1.0) / n, tau / n)
-
-
 def dual_box_value(u, spec):
     """Feasible dual value (max sense) at a multiplier u in the KKT
     orientation, as SolveState.u holds it: clip u into the check-loss
     subgradient box, scale down so |X^T v| <= omega, and return <v, y>.
 
-    Strictly dual-feasible, so it lower-bounds the primal optimum (used by the
-    weak-duality checks)."""
+    Dual-feasible, so it lower-bounds the primal optimum; admm_solve's gap
+    is the objective minus it. The scale divides only where |X^T v| > omega,
+    where the ratio is below 1, so a huge weight cannot overflow it."""
     pr = spec.problem
-    v = _box_multiplier(-u, pr.tau, pr.n)
+    v = np.clip(u, (pr.tau - 1.0) / pr.n, pr.tau / pr.n)
     xv = np.abs(pr.design.T @ v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(xv > spec.weights, spec.weights / xv, 1.0)
-    v = v * float(np.min(ratios, initial=1.0))
+    over = xv > spec.weights
+    v = v * float(np.min(spec.weights[over] / xv[over], initial=1.0))
     return float(v @ pr.response)
 
 
@@ -124,11 +114,8 @@ def admm_solve(spec, u0=None):
         # it is also reported at the cap
         infeas = max(eps_pinf, eps_dinf)
         if infeas <= EPS_ADMM or j == MAX_ITERS:
-            w_prim = _split_objective(beta, z, spec)
-            # dual objective at the box-clipped multiplier, min form
-            w_dual_min = -float(_box_multiplier(u, pr.tau, n) @ y)
-            gap_sum = w_prim + w_dual_min
-            eps_gap = float(abs(gap_sum) / max(1.0, 0.5 * gap_sum))
+            gap = spec.objective(beta, z) - dual_box_value(-u, spec)
+            eps_gap = float(abs(gap) / max(1.0, 0.5 * gap))
             if max(infeas, eps_gap) <= EPS_ADMM:
                 converged = True
                 break

@@ -58,12 +58,7 @@ class StageState:
     nnz: int
     solver_report: object
     stop_reason: str = ""
-
-    @property
-    def converged(self):
-        """The fit's verdict at its final stage: a stop rule ended it, not
-        MAX_STAGES, with Err_k <= STAGE_TOL."""
-        return self.stop_reason not in ("", "max_stages") and self.err_k <= STAGE_TOL
+    converged: bool = False  # the fit's verdict, set on its final stage
 
     def record(self):
         """The per-stage JSON record."""
@@ -121,7 +116,8 @@ def mscra_fit(problem, cfg):
     naming the stage. Termination: nonzero count stable over 4 stages with
     Err_k <= STAGE_TOL; or stable over 3 stages with
     |Err_k - Err_{k-2}| <= ERR_CHANGE_TOL; or MAX_STAGES. The final state's
-    ``converged`` is the verdict.
+    ``converged`` is the verdict: a stop rule ended the fit, not MAX_STAGES,
+    its Err_k <= STAGE_TOL, and every stage's solver converged.
     """
     problem = problem.with_tau(cfg.tau)
 
@@ -162,4 +158,6 @@ def mscra_fit(problem, cfg):
             break
     final = history[-1]
     final.stop_reason = reason
+    final.converged = (reason != "max_stages" and final.err_k <= STAGE_TOL
+                       and all(s.solver_report.converged for s in history))
     return final, history

@@ -16,7 +16,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .problem import check_loss
-from .prox import prox_check_loss, prox_weighted_l1
+from .prox import box_residual, prox_check_loss, prox_weighted_l1
 from .report import SolverError, SolverReport, SolveState
 
 # Reference configuration. The proximal weight starts at gamma =
@@ -59,12 +59,14 @@ class SubproblemSpec:
         self.weights = w
         self.anchor = np.zeros(p) if self.anchor is None else np.asarray(self.anchor, float)
 
-    def objective(self, beta):
-        """Subproblem objective at beta."""
+    def objective(self, beta, z=None):
+        """Subproblem objective f_tau(z) + sum_i omega_i |beta_i|, with the
+        check loss taken at z = y - X beta unless z is given (ADMM's split
+        variable)."""
         pr = self.problem
-        val = check_loss(pr.response - pr.design @ beta, pr.tau)
-        val += float(np.sum(self.weights * np.abs(beta)))
-        return val
+        if z is None:
+            z = pr.response - pr.design @ beta
+        return check_loss(z, pr.tau) + float(np.sum(self.weights * np.abs(beta)))
 
 
 def kkt_residual(problem, beta, u, weights):
@@ -150,12 +152,11 @@ class _DualWork:
 
     def value(self, u, Xtu):
         """Psi(u), leaving the prox arguments q1 = beta^j - X^T u/g,
-        q2 = z^j - u/g and the images pz = q2 - clip(q2, lo, hi),
-        pb = q1 - clip(q1, -thr, thr) (box-projection identities) in the
-        buffers ``self.q1``, ``self.q2``, ``self.pz``, ``self.pb``, which the
-        next call overwrites.
+        q2 = z^j - u/g and their images pz = P f_tau(q2), pb = P h(q1)
+        (``box_residual`` over the stacked bounds) in the buffers
+        ``self.q1``, ``self.q2``, ``self.pz``, ``self.pb``, which the next
+        call overwrites.
 
-        The clips are maximum-then-minimum, the order np.clip applies them.
         The dual minimum equals minus the regularized primal minimum.
         """
         return self._value(np.concatenate((u, Xtu), out=self._v), u, Xtu)
@@ -164,8 +165,7 @@ class _DualWork:
         """value at the stacked point v = (u; Xtu), whose blocks are u and Xtu."""
         q, c, cz, cb, pz = self._q, self._c, self._cz, self._cb, self.pz
         np.subtract(self._anc, np.divide(v, self.g, out=q), out=q)
-        np.minimum(np.maximum(q, self._lo, out=c), self._hi, out=c)
-        np.subtract(q, c, out=self._img)
+        box_residual(q, self._lo, self._hi, clip=c, out=self._img)
         cz2, cb2 = float(cz.dot(cz)), float(cb.dot(cb))
         # cz and cb are free again: they hold tau - (pz <= 0) and |pb|
         wz = np.subtract(self.tau, np.less_equal(pz, 0, out=self._le), out=cz)
@@ -201,10 +201,8 @@ class _DualWork:
 
     def gradient_here(self):
         """(Phi, beta image) at the last evaluated point, in new arrays:
-        Phi = y - P f_tau(q2) - X P h(q1) with the beta image
-        P h(q1) = sign(q1) max(|q1| - thr, 0). That is sign(q1) |pb|, bit for
-        bit prox_weighted_l1(q1) (pb alone can differ in the sign of zeros)."""
-        pb = np.sign(self.q1) * np.abs(self.pb)
+        Phi = y - pz - X pb with the beta image pb = P h(q1)."""
+        pb = self.pb.copy()
         return self.y - self.pz - self.X @ pb, pb
 
     def active_gram(self, mask):
@@ -303,7 +301,6 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
     else:
         return a_prev, psi_prev, a_prev > 0.0
     lo, psi_lo, dlo, hi, dhi = bracket
-    best_a, best_psi = lo, psi_lo
     for _ in range(MAX_ZOOM):
         span = hi - lo
         denom = dhi - dlo
@@ -321,10 +318,9 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
             if dpsi_a * (hi - lo) >= 0.0:
                 hi, dhi = lo, dlo
             lo, psi_lo, dlo = a, psi_a, dpsi_a
-            best_a, best_psi = a, psi_a
         if abs(hi - lo) < 1e-16:
             break
-    return best_a, best_psi, False
+    return lo, psi_lo, False
 
 
 def _newton_solve(work, u0, tol):
@@ -402,7 +398,7 @@ def ppa_solve(spec, u0=None):
     warnings = []
     converged = err <= min(eps, EPS_PPA_FLOOR)
     ppa_iters = 0
-    last_phi_rel = float("nan")
+    last_phi_rel = 0.0
     cur_obj = spec.objective(beta)
     stalls = 0
     work = None if converged else _DualWork(spec, beta, gamma)
@@ -440,7 +436,7 @@ def ppa_solve(spec, u0=None):
         converged=bool(converged),
         iterations=ppa_iters,
         objective=cur_obj,
-        residuals={"err_ppa": err, "phi_rel": last_phi_rel if np.isfinite(last_phi_rel) else 0.0},
+        residuals={"err_ppa": err, "phi_rel": last_phi_rel},
         wall_ms=(time.perf_counter() - t0) * 1e3,
         inner_iterations=total_newton,
         warnings=warnings,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,19 @@ def test_weak_duality_along_iterates(monkeypatch):
         assert lower <= report.objective + 1e-8
 
 
+def test_dual_box_value_huge_weights_without_overflow():
+    # weights / |X^T v| would overflow where |X^T v| is tiny; only the
+    # entries with |X^T v| > weights are divided
+    pr = QuantileProblem(np.array([[1e-10, 1.0], [2e-10, -1.0]]), np.array([1.0, -2.0]), tau=0.5)
+    spec = SubproblemSpec(problem=pr, weights=np.array([1e308, 0.1]))
+    u = np.array([0.25, -0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = dual_box_value(u, spec)
+    # v = u, |X^T v| = (2.5e-11, 0.5): only the second column scales v, by 0.2
+    assert value == pytest.approx(0.2 * (0.25 * 1.0 + 0.25 * 2.0))
+
+
 def _recording_z_update(monkeypatch):
     """Calls of admm_z_update inside admm_solve (one per iteration) as
     (sigma, X beta + z - y), recorded in the returned list."""
@@ -177,8 +192,7 @@ def _admm_solve_reference(spec, u0=None):
     the loop and at the cap. Reads the module constants as they are set
     when it is called. u0 and the returned u are in the KKT orientation."""
     from sqreg.admm import (ADAPT_EVERY, ADAPT_FACTOR, ADAPT_HIGH, ADAPT_LOW, EPS_ADMM,
-                            MAX_ITERS, SIGMA0, STEP, TAIL_AVERAGE,
-                            _box_multiplier, _split_objective)
+                            MAX_ITERS, SIGMA0, STEP, TAIL_AVERAGE)
     from sqreg.report import SolveState, SolverReport
 
     pr = spec.problem
@@ -213,10 +227,8 @@ def _admm_solve_reference(spec, u0=None):
         if j > avg_from:
             beta_acc = beta.copy() if beta_acc is None else beta_acc + beta
             acc_count += 1
-        w_prim = _split_objective(beta, z, spec)
-        w_dual_min = -float(_box_multiplier(u, pr.tau, n) @ y)
-        gap_sum = w_prim + w_dual_min
-        eps_gap = float(abs(gap_sum) / max(1.0, 0.5 * gap_sum))
+        gap = spec.objective(beta, z) - dual_box_value(-u, spec)
+        eps_gap = float(abs(gap) / max(1.0, 0.5 * gap))
         if max(eps_pinf, eps_dinf, eps_gap) <= EPS_ADMM:
             converged = True
             break

@@ -359,21 +359,16 @@ def test_fit_with_intercept_and_standardize(tmp_path):
 
 
 def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch):
+    # a fit that stops at MAX_STAGES is not converged
     data = write_small_csv(tmp_path)
-    import sqreg.cli as C
+    import sqreg.mscra as M
 
-    orig = C.mscra_fit
-
-    def exhausted(problem, cfg):
-        final, history = orig(problem, cfg)
-        final.stop_reason = "max_stages"
-        return final, history
-
-    monkeypatch.setattr(C, "mscra_fit", exhausted)
+    monkeypatch.setattr(M, "MAX_STAGES", 1)
     out = tmp_path / "nc.json"
     code = run(["fit", data, "--lambda", "0.1", "--out", str(out)])
     assert code == 2
-    assert json.loads(out.read_text())["converged"] is False
+    rep = json.loads(out.read_text())
+    assert rep["converged"] is False and rep["stop_reason"] == "max_stages"
 
 
 def test_fit_converged_needs_stage_tol(tmp_path, monkeypatch):
@@ -388,6 +383,18 @@ def test_fit_converged_needs_stage_tol(tmp_path, monkeypatch):
     rep = json.loads(out.read_text())
     assert rep["stop_reason"] == "stable_nnz_and_err_change" and rep["err_k"] > 0.0
     assert rep["converged"] is False
+
+
+def test_fit_converged_needs_every_stage_solver(tmp_path):
+    # "converged" also needs every stage's solver to have converged: with
+    # --solver admm most stages of this fit stop at ADMM's iteration cap
+    stem = str(tmp_path / "smoke")
+    assert run(["datagen", "--n", "40", "--p", "30", "--seed", "1", "--out", stem]) == 0
+    out = tmp_path / "admm.json"
+    assert run(["fit", stem + ".csv", "--solver", "admm", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["converged"] is False and rep["stop_reason"] != "max_stages"
+    assert rep["err_k"] <= 1e-5
 
 
 def test_bench_deterministic(tmp_path):

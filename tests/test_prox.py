@@ -96,6 +96,37 @@ def test_prox_oracle_equivalence(rng):
     assert np.max(np.abs(got2 - oracle2)) < 1e-8
 
 
+def _hexes(a):
+    return [float(v).hex() for v in a]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_prox_maps_are_the_box_identity(data):
+    # both maps are z - clip(z, lo, hi) over the box (subdifferential at 0) /
+    # gamma, bit for bit, also for weights 0 (no shrinkage) and inf (all to
+    # 0), and a zero they return is +0.0. The one exception: with weight 0
+    # the weighted-l1 prox is the identity, which keeps a -0.0 input
+    m = data.draw(st.integers(1, 8))
+    z = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m)))
+    omega = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.just(np.inf), st.floats(0.0, 1e6)), min_size=m, max_size=m)))
+    gamma = data.draw(st.floats(1e-3, 1e3))
+    tau = data.draw(st.floats(0.01, 0.99))
+    n = data.draw(st.integers(1, 1000))
+
+    thr = omega / gamma
+    got = prox_weighted_l1(z, omega, gamma)
+    identity = (thr == 0) & (z == 0) & np.signbit(z)
+    assert _hexes(got[~identity]) == _hexes((z - np.clip(z, -thr, thr))[~identity])
+    assert _hexes(got[identity]) == _hexes(z[identity])
+    assert not np.any((got == 0) & np.signbit(got) & ~identity)
+
+    got = prox_check_loss(z, gamma, tau, n)
+    assert _hexes(got) == _hexes(z - np.clip(z, (tau - 1.0) / (n * gamma), tau / (n * gamma)))
+    assert not np.any((got == 0) & np.signbit(got))
+
+
 def test_nonexpansive(rng):
     omega = rng.uniform(0, 2, 30)
     for _ in range(50):

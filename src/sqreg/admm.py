@@ -104,8 +104,13 @@ def admm_solve(spec, u0=None):
         u_new = u + du
         du2 = du @ du  # np.linalg.norm(du) is sqrt(du @ du)
         eps_pinf = float(np.sqrt(du2) / (STEP * sigma * ynorm1))
-        zeta = X.T @ (du - sigma * s + u) - gamma * (beta_new - beta)
-        eps_dinf = float(np.sqrt(zeta @ zeta + dinf_scale * du2) / ynorm1)
+        # eps_dinf costs a third product with X; it is read only where the
+        # stop test can pass (eps_pinf small), where sigma adapts, and at the
+        # cap, where it is reported. Elsewhere its last value stands, and
+        # max(eps_pinf, eps_dinf) > EPS_ADMM whatever that value is.
+        if eps_pinf <= EPS_ADMM or j % ADAPT_EVERY == 0 or j == MAX_ITERS:
+            zeta = X.T @ (du - sigma * s + u) - gamma * (beta_new - beta)
+            eps_dinf = float(np.sqrt(zeta @ zeta + dinf_scale * du2) / ynorm1)
         beta, z, u, Xb = beta_new, z_new, u_new, Xb_new
         if j > avg_from:
             beta_acc = beta.copy() if beta_acc is None else beta_acc + beta

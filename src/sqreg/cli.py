@@ -179,8 +179,8 @@ def _subproblem_solve(problem, lam, solver):
 
 def cmd_lambda_sweep(args):
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    if not solvers or not set(solvers) <= {"pdsn", "admm"}:
-        raise ValueError("--solvers takes a comma-separated subset of pdsn,admm")
+    if not solvers or not set(solvers) <= {"pdsn", "admm"} or len(set(solvers)) < len(solvers):
+        raise ValueError("--solvers takes a comma-separated subset of pdsn,admm, each named once")
     ds = generate(_synthetic_spec(args, args.seed))
     problem = ds.problem.with_tau(args.tau)
     lams = lambda_grid(problem, args.gamma_min, args.gamma_max, args.count)
@@ -214,8 +214,9 @@ def _dataset(spec):
 
 def _fit_job(job):
     """Pool job: draw the dataset of ``spec``, fit it with ``cfg`` and return
-    replication ``rep``'s record, fit statistics plus the selection metrics
-    (P1, P2 and AE, the Table-1 columns, for the hetero model)."""
+    replication ``rep``'s record, fit statistics (``converged`` as 0/1, so
+    that its mean is the converged share) plus the selection metrics (P1, P2
+    and AE, the Table-1 columns, for the hetero model)."""
     spec, cfg, rep = job
     ds = _dataset(spec)
     t0 = time.perf_counter()
@@ -224,7 +225,8 @@ def _fit_job(job):
     solver_ms = sum(s.solver_report.wall_ms for s in history)
     rec = {"rep": rep, "seed": spec.seed, "stages": len(history),
            "solver_iters": int(sum(s.solver_report.inner_iterations for s in history)),
-           "wall_ms": wall, "solver_ms": solver_ms, "nnz": final.nnz}
+           "wall_ms": wall, "solver_ms": solver_ms, "nnz": final.nnz,
+           "converged": int(final.converged)}
     if spec.beta_pattern == "hetero":
         beta = final.beta
         selected = set(np.flatnonzero(support_mask(beta)).tolist())
@@ -254,8 +256,8 @@ def cmd_tau_sweep(args):
     rows = []
     for i, t in enumerate(taus):
         sub = records[i::len(taus)]
-        rows.append((t, float(np.mean([r["l2_error"] for r in sub])), float(np.mean([r["wall_ms"] for r in sub]))))
-    text = "tau,l2_error,wall_ms\n" + "\n".join(f"{r[0]!r},{r[1]!r},{r[2]!r}" for r in rows) + "\n"
+        rows.append((t, *(float(np.mean([r[k] for r in sub])) for k in ("l2_error", "converged", "wall_ms"))))
+    text = "tau,l2_error,converged,wall_ms\n" + "\n".join(",".join(map(repr, r)) for r in rows) + "\n"
     _write(text, args.out)
     return 0
 

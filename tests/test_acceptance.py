@@ -150,7 +150,6 @@ def solver_panel():
     return runs
 
 
-@pytest.mark.slow
 def test_c3_solver_cross_equivalence(solver_panel):
     worst = 0.0
     for r in solver_panel:
@@ -162,7 +161,6 @@ def test_c3_solver_cross_equivalence(solver_panel):
     announce(3, f"cross-solver agreement, worst rel {worst:.1e}")
 
 
-@pytest.mark.slow
 def test_c4_speed_ratio(solver_panel):
     tp = sum(r["pdsn_s"] for r in solver_panel)
     ta = sum(r["admm_s"] for r in solver_panel)

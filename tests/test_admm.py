@@ -186,11 +186,13 @@ def test_zeta_zero_at_fixed_point(monkeypatch):
     assert max(report.residuals["eps_pinf"], report.residuals["eps_dinf"]) <= 1e-9
 
 
-def _admm_solve_reference(spec, u0=None):
-    """The admm_solve loop that computed the duality gap on every iteration,
-    kept as the oracle of the loop that computes it only when it can stop
-    the loop and at the cap. Reads the module constants as they are set
-    when it is called. u0 and the returned u are in the KKT orientation."""
+def _admm_solve_reference(spec, u0, residuals):
+    """The admm_solve loop that computed the dual infeasibility and the
+    duality gap on every iteration, kept as the oracle of the loop that
+    computes each only on the iterations that read it. Reads the module
+    constants as they are set when it is called. u0 and the returned u are
+    in the KKT orientation. Each iteration's (eps_pinf, eps_dinf) is
+    appended to the list ``residuals``."""
     from sqreg.admm import (ADAPT_EVERY, ADAPT_FACTOR, ADAPT_HIGH, ADAPT_LOW, EPS_ADMM,
                             MAX_ITERS, SIGMA0, STEP, TAIL_AVERAGE)
     from sqreg.report import SolveState, SolverReport
@@ -223,6 +225,7 @@ def _admm_solve_reference(spec, u0=None):
         eps_pinf = float(np.linalg.norm(du) / (STEP * sigma * ynorm1))
         zeta = X.T @ (du - sigma * s + u) - gamma * (beta_new - beta)
         eps_dinf = float(np.sqrt(zeta @ zeta + dinf_scale * (du @ du)) / ynorm1)
+        residuals.append((eps_pinf, eps_dinf))
         beta, z, u, Xb = beta_new, z_new, u_new, Xb_new
         if j > avg_from:
             beta_acc = beta.copy() if beta_acc is None else beta_acc + beta
@@ -273,6 +276,12 @@ def _sigma_moves(calls):
 def test_admm_loop_matches_reference_loop(monkeypatch):
     converging, _ = make_subproblem(8, 25, 10, lam=0.3)
     adapting, _ = make_subproblem(14, 20, 8, lam=0.2)  # sigma is raised once and cut 7 times
+    # p > n: after sigma first adapts, isolated iterations have
+    # eps_pinf <= EPS_ADMM < eps_dinf (137, 230 and 1447), so eps_dinf is
+    # computed there between iterations that keep its last value; its cap,
+    # 1490, is off the ADAPT_EVERY grid, so the reported eps_dinf is
+    # computed there for the report alone
+    wide, _ = make_subproblem(24, 15, 30, lam=0.2)
     with monkeypatch.context() as m:
         m.setattr(admm, "MAX_ITERS", 100)
         warm, _ = admm_solve(converging)
@@ -284,6 +293,7 @@ def test_admm_loop_matches_reference_loop(monkeypatch):
         (adapting, {"MAX_ITERS": 600}, None),
         (adapting, {"MAX_ITERS": 600, "TAIL_AVERAGE": 50}, None),
         (adapting, {"MAX_ITERS": 600, "TAIL_AVERAGE": 50, "ADAPT_EVERY": 601}, None),
+        (wide, {"MAX_ITERS": 1490}, None),
     ]
     calls = _recording_z_update(monkeypatch)
     outcomes = []
@@ -293,7 +303,8 @@ def test_admm_loop_matches_reference_loop(monkeypatch):
             for name, value in settings.items():
                 m.setattr(admm, name, value)
             state, report = admm_solve(spec, u0=u0)
-            ref_state, ref_report = _admm_solve_reference(spec, u0=u0)
+            residuals = []
+            ref_state, ref_report = _admm_solve_reference(spec, u0, residuals)
         assert _as_hex(vars(state)) == _as_hex(vars(ref_state))
         got, want = dict(vars(report)), dict(vars(ref_report))
         got.pop("wall_ms"), want.pop("wall_ms")
@@ -301,6 +312,10 @@ def test_admm_loop_matches_reference_loop(monkeypatch):
         outcomes.append((report.converged, report.iterations))
         if spec is adapting and "ADAPT_EVERY" not in settings:
             assert _sigma_moves(calls) == (1, 7)
+        if spec is wide:
+            # the stop test reads a fresh eps_dinf that keeps the loop going
+            assert any(pinf <= admm.EPS_ADMM < dinf
+                       for pinf, dinf in residuals[admm.ADAPT_EVERY:-1])
     # the cases cover convergence before the cap (cold and warm) and the cap
     assert outcomes[0][0] and outcomes[0][1] < 3000 and outcomes[1][0]
     assert not any(c for c, _ in outcomes[2:])

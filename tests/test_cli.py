@@ -111,9 +111,11 @@ def test_tau_sweep_single_row(tmp_path):
                 "--seed", "4", "--threads", "1", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "tau,l2_error,wall_ms"
+    assert lines[0] == "tau,l2_error,converged,wall_ms"
     assert len(lines) == 2
     assert lines[1].startswith("0.5,")
+    # the converged column is the share of the tau's fits that converged
+    assert float(lines[1].split(",")[2]) in (0.0, 0.5, 1.0)
 
 
 def test_tau_sweep_grid_endpoints(tmp_path):
@@ -137,8 +139,9 @@ def test_bench_records_and_aggregate(tmp_path):
     agg = [l for l in lines if l.get("aggregate")][0]
     assert len(recs) == 3
     assert agg["replications"] == 3
+    assert all(r["converged"] in (0, 1) for r in recs)
     # aggregate means recompute from records exactly
-    for key in ("l2_error", "fp", "fn", "size"):
+    for key in ("l2_error", "fp", "fn", "size", "converged"):
         vals = [r[key] for r in recs]
         assert agg[f"{key}_mean"] == pytest.approx(np.mean(vals), abs=1e-12)
     # identifiers are not averaged
@@ -311,7 +314,7 @@ def test_pool_workers_pin_blas_threads():
     # changed the last digits of this seed's tau 0.7 row
     pooled = _tau_sweep_subprocess(["--threads", "2"], blas_threads=None)
     serial = _tau_sweep_subprocess(["--threads", "1"], blas_threads=1)
-    assert pooled[0] == "tau,l2_error" and len(pooled) == 4
+    assert pooled[0] == "tau,l2_error,converged" and len(pooled) == 4
     assert pooled == serial
 
 
@@ -431,7 +434,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
                  ["tau-sweep", "--tau-min", "0.95", "--tau-max", "1"],
                  ["tau-sweep", "--reps", "0"], ["bench", "--reps", "0"],
                  ["tau-sweep", "--threads", "-1"], ["bench", "--threads", "-1"],
-                 ["lambda-sweep", "--solvers", ","],
+                 ["lambda-sweep", "--solvers", ","], ["lambda-sweep", "--solvers", "admm,admm,pdsn"],
                  ["fit", data, "--tau", "1.5"], ["bench", "--tau", "nan"], ["lambda-sweep", "--tau", "0"],
                  ["fit", data, "--a", "inf"], ["fit", data, "--a", "nan"],
                  ["fit", data, "--surrogate", "mcp", "--a", "1e308"],

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from .admm import admm_solve
 from .pdsn import SubproblemSpec, ppa_solve
 from .pdsn import kkt_residual as stage_kkt_residual
-from .problem import matrix_norms, nonzero_count
+# matrix_norms stays bound for perfbench's problem.matrix_norms layer
+# wrapper; lambda_grid reads the problem's cached norms
+from .problem import matrix_norms, nonzero_count  # noqa: F401
 from .report import SolverError
 from .surrogate import SurrogateFamily
 
@@ -98,7 +100,7 @@ def lambda_grid(problem, gamma_min, gamma_max, count):
         raise ValueError("need 0 < gamma_min <= gamma_max < inf")
     if count < 1:
         raise ValueError("count must be >= 1")
-    scale = matrix_norms(problem.design).col_sum / problem.n
+    scale = problem.norms.col_sum / problem.n
     gammas = np.linspace(gamma_min, gamma_max, count) if count > 1 else np.array([gamma_min])
     with np.errstate(over="ignore"):
         lams = np.maximum(0.01, gammas * scale)

@@ -1,6 +1,8 @@
 """Estimation instances, check loss, matrix norms, standardization, CSV input."""
 
 import csv
+import io
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +31,7 @@ class QuantileProblem:
     intercept_column : True when column 0 of ``design`` is the all-ones column.
 
     Instances are immutable (arrays are marked read-only) and safe to share
-    across concurrent solver runs.
+    across concurrent solver runs; ``norms`` caches the design's norms.
     """
 
     design: np.ndarray
@@ -62,6 +64,12 @@ class QuantileProblem:
     @property
     def p(self):
         return self.design.shape[1]
+
+    @cached_property
+    def norms(self):
+        """MatrixNorms of the design, built once per instance; the spectral
+        norm's power iteration runs on its first read."""
+        return MatrixNorms(self.design)
 
     def with_tau(self, tau):
         """Same data at a different quantile level."""
@@ -178,14 +186,31 @@ def _raise_first_bad_row(raw_rows):
             raise ValueError(f"row {idx}: non-finite value")
 
 
-def load_csv(path, has_header=False, add_intercept=False):
-    """Load a problem from CSV: one sample per row, response in the last column.
+def _read_rows_numpy(raw, has_header):
+    """The data rows of the file bytes ``raw`` as an (n, k) array through
+    numpy's C reader, or None when it cannot give the csv.reader path's
+    answer: a field it does not parse, a ragged row, a warning (no data), no
+    row left, or one of the separators U+001C..U+001F, which numpy strips as
+    whitespace and float() rejects (float() strips ASCII whitespace and
+    non-ASCII whitespace only; no UTF-8 multibyte sequence holds these
+    bytes)."""
+    if any(sep in raw for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            data = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+        except (ValueError, Warning):
+            return None
+    data = data[1:] if has_header else data
+    return data if data.shape[0] else None
 
-    Returns a QuantileProblem with tau = 0.5 (retarget with ``with_tau``).
-    Malformed rows raise ValueError naming the 1-based data row.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        raw_rows = [r for r in csv.reader(fh) if r and not all(f.strip() == "" for f in r)]
+
+def _read_rows_csv(raw, has_header):
+    """The data rows of the file bytes ``raw`` as an (n, k) array through
+    csv.reader and float()."""
+    lines = io.StringIO(raw.decode("utf-8"), newline="")
+    raw_rows = [r for r in csv.reader(lines) if r and not all(f.strip() == "" for f in r)]
     if has_header and raw_rows:
         raw_rows = raw_rows[1:]
     if not raw_rows:
@@ -193,10 +218,30 @@ def load_csv(path, has_header=False, add_intercept=False):
     # one conversion call (numpy parses each str field with float()); the
     # row-wise scan runs only to name the first malformed row
     try:
-        data = np.array(raw_rows, dtype=float)
+        return np.array(raw_rows, dtype=float)
     except ValueError:
         _raise_first_bad_row(raw_rows)
         raise
+
+
+def load_csv(path, has_header=False, add_intercept=False):
+    """Load a problem from CSV: one sample per row, response in the last column.
+
+    Returns a QuantileProblem with tau = 0.5 (retarget with ``with_tau``).
+    Malformed rows raise ValueError naming the 1-based data row.
+
+    numpy's C reader parses the file first. It converts each field with the
+    correctly rounded conversion float() uses, skips only empty lines and
+    fails on quotes, blank fields and whitespace-only lines, so where it
+    parses it gives the csv.reader path's array to the bit. The csv.reader
+    path runs only where it does not, and words every error. The file is
+    read once, so a pipe works on both paths.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = _read_rows_numpy(raw, has_header)
+    if data is None:
+        data = _read_rows_csv(raw, has_header)
     if data.shape[1] < 2:
         raise ValueError("rows must have at least one feature and a response")
     finite = np.isfinite(data).all(axis=1)

@@ -108,6 +108,25 @@ def test_admm_gap_decreases_small_instance():
     assert report.converged and report.residuals["eps_gap"] <= 1e-6
 
 
+def test_admm_reads_the_problems_cached_norms(monkeypatch):
+    # two solves on one problem run the power iteration once and give the
+    # bits of a solve on a fresh copy of the problem
+    import sqreg.problem as sqreg_problem
+
+    calls = []
+    spectral_norm = sqreg_problem._spectral_norm
+    monkeypatch.setattr(sqreg_problem, "_spectral_norm", lambda A: calls.append(A.shape) or spectral_norm(A))
+    spec, _ = make_subproblem(8, 25, 10, lam=0.3)
+    first, _ = admm_solve(spec)
+    second, _ = admm_solve(spec)
+    assert calls == [(25, 10)]
+    fresh, _ = admm_solve(make_subproblem(8, 25, 10, lam=0.3)[0])
+    assert len(calls) == 2
+    for state in (first, second):
+        assert state.beta.tobytes() == fresh.beta.tobytes()
+        assert state.u.tobytes() == fresh.u.tobytes()
+
+
 def test_weak_duality_along_iterates(monkeypatch):
     monkeypatch.setattr(admm, "MAX_ITERS", 400)
     spec, _ = make_subproblem(9, 20, 8, lam=0.2)

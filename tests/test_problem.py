@@ -1,6 +1,7 @@
 import csv
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,78 @@ def test_load_csv_first_fault_named(tmp_path):
         with pytest.raises(ValueError) as exc:
             load_csv(f)
         assert str(exc.value) == message
+
+
+def test_load_csv_fast_path_matches_rowwise(tmp_path, monkeypatch):
+    # datagen output, its CRLF copy and a copy with blank lines mixed in all
+    # load without csv.reader, byte-equal to the row-by-row parser
+    from sqreg.cli import main
+
+    stem = str(tmp_path / "g")
+    assert main(["datagen", "--n", "30", "--p", "20", "--seed", "4", "--out", stem]) == 0
+    with open(stem + ".csv", encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    variants = {
+        "lf.csv": "\n".join(lines) + "\n",
+        "crlf.csv": "\r\n".join(lines) + "\r\n",
+        "blank.csv": "\n\n" + "\n\n".join(lines) + "\n\n",
+    }
+    expected = {}
+    for name, text in variants.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+        expected[name] = _outcome(_load_csv_rowwise, tmp_path / name)
+        assert expected[name][0] == "ok"
+
+    def no_csv_reader(*args, **kwargs):
+        raise AssertionError("csv.reader ran")
+
+    monkeypatch.setattr(csv, "reader", no_csv_reader)
+    for name in variants:
+        assert _outcome(load_csv, tmp_path / name) == expected[name]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_csv_reads_a_pipe_once():
+    # a text header takes the csv.reader fallback, which must parse the
+    # bytes already read: a pipe cannot be read again
+    r, w = os.pipe()
+    os.write(w, b"a,b,y\n1,2,3\n4,5,6\n")
+    os.close(w)
+    try:
+        pr = load_csv(f"/dev/fd/{r}", has_header=True)
+    finally:
+        os.close(r)
+    assert np.array_equal(pr.design, [[1.0, 2.0], [4.0, 5.0]])
+
+
+@pytest.mark.parametrize("text, has_header", [
+    ("", False),                     # empty: "no rows", no loadtxt warning
+    ("\n  \n\t\n", False),           # blank lines only
+    (" , \n1,2\n", False),           # a row of blank fields
+    ("1,2,3\n4,5,6\n", True),        # numeric header
+    ("1,2,3\n", True),               # header only
+    ("\n\na,b,y\n\n1,2,3\n", True),  # blank lines before the header
+    ("# note\n1,2\n", False),        # a # line is data, not a comment
+    ("\ufeff1,2\n3,4\n", False),     # UTF-8 BOM
+    ("\ufeff1,2\n3,4\n", True),      # BOM on the header line
+    ("1,2,\n3,4,\n", False),         # trailing comma
+    ("1,2\r3,4\r", False),           # bare-CR line ends
+    ("1\n2\n3\n", False),            # single column
+    ("1,2\x1c\n3,4\n", False),       # numpy strips U+001C, float() does not
+    ('"1",2\n3,4\n', False),         # quoted field
+])
+def test_load_csv_edge_cases_match_rowwise(tmp_path, text, has_header):
+    # the same outcome whether warnings are errors or shown, and none shown
+    f = tmp_path / "e.csv"
+    f.write_bytes(text.encode("utf-8"))
+    expected = _outcome(_load_csv_rowwise, f, has_header=has_header)
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter(action)
+            assert _outcome(load_csv, f, has_header=has_header) == expected
+        assert shown == []
+    if text == "":
+        assert expected == ("error", "no rows")
 
 
 def test_problem_validation():

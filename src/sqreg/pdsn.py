@@ -114,9 +114,11 @@ class _DualWork:
         self._le = np.empty(self.n, dtype=bool)
         self._bind_blocks()
         # Newton matrix: the active mask J of the last dense solve, the
-        # unscaled active Gram W0 = X_J X_J^T, the buffer of the scaled
-        # matrix W and the count of columns updated since W0 was built
-        self.mask = self.W0 = self.W = None
+        # unscaled active Gram W0 = X_J X_J^T, the count of columns updated
+        # since W0 was built, and the column-major buffer W holding
+        # W0 / W_gamma off its diagonal; W_gamma is None once W0 has changed
+        # since it was scaled
+        self.mask = self.W0 = self.W = self.W_gamma = None
         self.updates = 0
         self.anchor(beta_anchor, gamma)
 
@@ -205,21 +207,22 @@ class _DualWork:
         pb = self.pb.copy()
         return self.y - self.pz - self.X @ pb, pb
 
-    def active_gram(self, mask):
-        """X_J X_J^T over the active columns J = mask."""
-        Xa = self.X[:, mask]
-        return Xa @ Xa.T
-
     def newton_direction(self, rhs):
         """Solve (gamma^{-1} (U + X V X^T) + mu I) d = rhs.
 
         U, V are the 0/1 diagonal Clarke elements of the two prox maps at the
         prox arguments q2, q1 that value left: U = (pz != 0), 1 where q2 lies
         strictly outside [lo2, hi2], and V = (pb != 0), 1 where |q1| >
-        omega/g. mu = NEWTON_MU. The dense path keeps W0 =
-        X_J X_J^T across calls and rank-updates it when the active set J
-        changes by a few columns, rebuilding it after many; it assembles the
-        scaled matrix in the buffer W.
+        omega/g. mu = NEWTON_MU.
+
+        The dense path keeps W0 = X_J X_J^T across calls and rank-updates it
+        when the active set J changes by a few columns, rebuilding it after
+        many. The scaled matrix W0 / gamma stays in the column-major buffer
+        W, which np.linalg.solve copies to LAPACK by whole columns. W is
+        divided again only when W0 changed or gamma did (a new PPA step);
+        otherwise only its diagonal is rewritten, diag(W0 / gamma) + dvec.
+        Each entry thus gets the same floating-point operations as a fresh
+        W0 / gamma with dvec added to its diagonal.
         """
         dvec = (self.pz != 0.0) / self.g + NEWTON_MU
         mask = self.pb != 0.0
@@ -238,19 +241,19 @@ class _DualWork:
             if info != 0:
                 raise SolverError("conjugate gradient failed on the Newton system")
             return sol
-        if self.mask is None:
-            self.W0 = self.active_gram(mask)
-            self.W = np.empty_like(self.W0)
+        n = self.n
+        rebuild = self.mask is None
+        if rebuild:
+            self.W = np.empty((n, n), order="F")
         else:
             changed = mask ^ self.mask
             n_changed = int(changed.sum())
             if n_changed:
                 # refresh periodically to limit rank-update rounding drift
                 self.updates += n_changed
-                if n_changed > max(16, self.n // 4) or self.updates > 8 * self.n:
-                    self.W0 = self.active_gram(mask)
-                    self.updates = 0
-                else:
+                self.W_gamma = None
+                rebuild = n_changed > max(16, n // 4) or self.updates > 8 * n
+                if not rebuild:
                     added = changed & mask
                     removed = changed & ~mask
                     if added.any():
@@ -259,9 +262,16 @@ class _DualWork:
                     if removed.any():
                         Xr = self.X[:, removed]
                         self.W0 -= Xr @ Xr.T
+        if rebuild:
+            Xa = self.X[:, mask]
+            self.W0 = Xa @ Xa.T
+            self.updates = 0
         self.mask = mask
-        W = np.divide(self.W0, self.g, out=self.W)
-        W.flat[:: self.n + 1] += dvec
+        W = self.W
+        if self.W_gamma != self.g:
+            np.divide(self.W0, self.g, out=W)
+            self.W_gamma = self.g
+        W.flat[:: n + 1] = self.W0.diagonal() / self.g + dvec
         return np.linalg.solve(W, rhs)
 
 

@@ -319,17 +319,24 @@ def test_pool_workers_pin_blas_threads():
 
 
 def test_output_does_not_depend_on_blas_threads(tmp_path):
-    # every command pins one BLAS thread in its own process: a fit and a
+    # every command pins one BLAS thread in its own process: fits and a
     # serial tau-sweep print the same bytes with the thread variables unset
-    # and at 1 and 2 threads; unpinned, 2 threads changed this fit's err_k
-    # and this sweep's rows
-    stem = str(tmp_path / "d")
+    # and at 1 and 2 threads; unpinned, 2 threads changed the p > n fit's
+    # err_k, the n > p fit's beta and this sweep's rows. The n > p fit
+    # solves 120 x 120 Newton systems by LU, where OpenBLAS's threaded
+    # factorization rounds differently from n = 100 up
+    stem, tall = str(tmp_path / "d"), str(tmp_path / "t")
     assert run(["datagen", "--n", "100", "--p", "300", "--noise-var", "2",
                 "--seed", "777000", "--out", stem]) == 0
+    assert run(["datagen", "--n", "120", "--p", "60", "--pattern", "hetero",
+                "--seed", "3", "--out", tall]) == 0
     fits = [mask_wall(_sqreg_subprocess(["fit", stem + ".csv", "--lambda", "0.11"], t))
             for t in (None, 1, 2)]
+    tall_fits = [mask_wall(_sqreg_subprocess(["fit", tall + ".csv", "--tau", "0.3"], t))
+                 for t in (None, 1, 2)]
     sweeps = [_tau_sweep_subprocess(["--threads", "1"], t) for t in (None, 1, 2)]
     assert fits[0].startswith('{"beta":') and fits[0] == fits[1] == fits[2]
+    assert tall_fits[0].startswith('{"beta":') and tall_fits[0] == tall_fits[1] == tall_fits[2]
     assert len(sweeps[0]) == 4 and sweeps[0] == sweeps[1] == sweeps[2]
 
 

@@ -1,4 +1,5 @@
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -203,6 +204,70 @@ def test_newton_matrix_rank_update(monkeypatch):
         spec, _ = make_subproblem(seed, 30, 60, lam=0.05)
         ppa_solve(spec)
     assert seen["kept"] >= 1 and seen["updated"] >= 1, seen
+
+
+def _replay_newton_directions(specs):
+    """Run ppa_solve on each spec and check every newton_direction call, and
+    the same call on a deep copy of the workspace taken just before it,
+    against the fresh assembly W = W0 / gamma (a new C-ordered matrix) with
+    dvec added to its diagonal, by float hex. Returns the counts of the
+    calls, of the copies checked, and of the calls whose active set J was
+    empty, unchanged with gamma changed (a new PPA step), rank-updated or
+    rebuilt."""
+    newton_direction = _DualWork.newton_direction
+    seen = {"calls": 0, "empty": 0, "gamma only": 0, "rank update": 0, "rebuild": 0, "copied": 0}
+    last_gamma = {}
+
+    def hexes(v):
+        return [float(x).hex() for x in v]
+
+    def checked(work, rhs):
+        mask, held = work.mask, work.W0
+        seen["calls"] += 1
+        twin = copy.deepcopy(work) if seen["calls"] % 3 == 0 else None
+        d = newton_direction(work, rhs)
+        fresh = np.ascontiguousarray(work.W0 / work.g)
+        fresh.flat[:: work.n + 1] += (work.pz != 0.0) / work.g + pdsn.NEWTON_MU
+        want = hexes(np.linalg.solve(fresh, rhs))
+        assert hexes(d) == want
+        assert work.W.flags.f_contiguous
+        if twin is not None:
+            assert hexes(newton_direction(twin, rhs)) == want
+            assert twin.W.flags.f_contiguous and not np.shares_memory(twin.W, work.W)
+            seen["copied"] += 1
+        seen["empty"] += not work.mask.any()
+        if mask is not None:
+            if np.array_equal(mask, work.mask):
+                seen["gamma only"] += work.g != last_gamma[id(work)]
+            else:
+                seen["rank update" if work.W0 is held else "rebuild"] += 1
+        last_gamma[id(work)] = work.g
+        return d
+
+    with mock.patch.object(_DualWork, "newton_direction", checked):
+        for spec in specs:
+            ppa_solve(spec)
+    return seen
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), p=st.integers(2, 80),
+       lam=st.floats(0.005, 0.3), tau=st.floats(0.1, 0.9))
+def test_newton_direction_matches_fresh_assembly(seed, n, p, lam, tau):
+    # the scaled matrix kept across steps and its column-major buffer give
+    # the bits of a fresh W0 / gamma with dvec on its diagonal
+    spec, _ = make_subproblem(seed, n, p, lam=lam, tau=tau)
+    _replay_newton_directions([spec])
+
+
+def test_newton_direction_replay_covers_the_cache():
+    # the replay above meets every way the kept matrix goes stale or stays
+    # valid: gamma shrinking over an unchanged J, J rank-updated and rebuilt,
+    # an empty J (the first step from beta = 0), and copied workspaces
+    specs = [make_subproblem(seed, 30, 80, lam=0.02)[0] for seed in (3, 77)]
+    specs.append(make_subproblem(9, 200, 50, lam=0.05)[0])
+    seen = _replay_newton_directions(specs)
+    assert all(count >= 1 for count in seen.values()), seen
 
 
 def test_newton_fast_on_smooth_instance(monkeypatch):

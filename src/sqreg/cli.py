@@ -8,8 +8,6 @@ or usage error, 2 non-convergence or solver failure.
 
 import argparse
 import concurrent.futures
-import ctypes
-import glob
 import json
 import os
 import sys
@@ -17,6 +15,7 @@ import time
 
 import numpy as np
 
+from . import _openblas
 from .admm import admm_solve
 from .datagen import BETA_PATTERNS, HETERO_MAIN, SyntheticSpec, generate, selection_metrics
 from .mscra import MscraConfig, lambda_grid, mscra_fit
@@ -269,13 +268,8 @@ def _pin_blas_threads():
     worker started by forkserver or spawn does not inherit the setting; one
     thread per worker also keeps workers from oversubscribing the cores. A
     numpy without its bundled scipy-openblas library is left as it is."""
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
-        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            setter(1)
+    if _openblas.set_num_threads is not None:
+        _openblas.set_num_threads(1)
 
 
 def _run_pool(jobs, threads):

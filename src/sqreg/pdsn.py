@@ -15,6 +15,7 @@ import time
 import numpy as np
 from dataclasses import dataclass
 
+from . import _openblas
 from .problem import check_loss
 from .prox import box_residual, prox_check_loss, prox_weighted_l1
 from .report import SolverError, SolverReport, SolveState
@@ -115,10 +116,10 @@ class _DualWork:
         self._bind_blocks()
         # Newton matrix: the active mask J of the last dense solve, the
         # unscaled active Gram W0 = X_J X_J^T, the count of columns updated
-        # since W0 was built, and the column-major buffer W holding
-        # W0 / W_gamma off its diagonal; W_gamma is None once W0 has changed
-        # since it was scaled
-        self.mask = self.W0 = self.W = self.W_gamma = None
+        # since W0 was built, the column-major buffer lu with the LU factors
+        # (pivots piv) of the matrix last factored, and that matrix's gamma
+        # lu_gamma and diagonal diag; diag is None when W0 changed after it
+        self.mask = self.W0 = self.lu = self.piv = self.lu_gamma = self.diag = None
         self.updates = 0
         self.anchor(beta_anchor, gamma)
 
@@ -217,12 +218,13 @@ class _DualWork:
 
         The dense path keeps W0 = X_J X_J^T across calls and rank-updates it
         when the active set J changes by a few columns, rebuilding it after
-        many. The scaled matrix W0 / gamma stays in the column-major buffer
-        W, which np.linalg.solve copies to LAPACK by whole columns. W is
-        divided again only when W0 changed or gamma did (a new PPA step);
-        otherwise only its diagonal is rewritten, diag(W0 / gamma) + dvec.
-        Each entry thus gets the same floating-point operations as a fresh
-        W0 / gamma with dvec added to its diagonal.
+        many. It keeps the LU factors of the last matrix it factored, W0 /
+        gamma with diag(W0 / gamma) + dvec on its diagonal, and factors anew
+        only when W0, gamma or a bit of that diagonal changed. Each entry
+        gets the floating-point operations of a fresh assembly, and
+        dgetrf + dgetrs of numpy's OpenBLAS give np.linalg.solve's bits.
+        Without that library, np.linalg.solve solves the assembled matrix.
+        A singular matrix raises SolverError.
         """
         dvec = (self.pz != 0.0) / self.g + NEWTON_MU
         mask = self.pb != 0.0
@@ -244,14 +246,15 @@ class _DualWork:
         n = self.n
         rebuild = self.mask is None
         if rebuild:
-            self.W = np.empty((n, n), order="F")
+            self.lu = np.empty((n, n), order="F")
+            self.piv = np.empty(n, dtype=np.int64)
         else:
             changed = mask ^ self.mask
             n_changed = int(changed.sum())
             if n_changed:
                 # refresh periodically to limit rank-update rounding drift
                 self.updates += n_changed
-                self.W_gamma = None
+                self.diag = None
                 rebuild = n_changed > max(16, n // 4) or self.updates > 8 * n
                 if not rebuild:
                     added = changed & mask
@@ -267,12 +270,22 @@ class _DualWork:
             self.W0 = Xa @ Xa.T
             self.updates = 0
         self.mask = mask
-        W = self.W
-        if self.W_gamma != self.g:
-            np.divide(self.W0, self.g, out=W)
-            self.W_gamma = self.g
-        W.flat[:: n + 1] = self.W0.diagonal() / self.g + dvec
-        return np.linalg.solve(W, rhs)
+        # the diagonal's entries are > 0 or +0.0, so == compares their bits
+        diag = self.W0.diagonal() / self.g + dvec
+        if self.diag is None or self.lu_gamma != self.g or not np.array_equal(diag, self.diag):
+            # W0 is exactly symmetric: its transpose, read contiguously,
+            # fills the column-major buffer with the same values
+            np.divide(self.W0.T, self.g, out=self.lu)
+            self.lu.flat[:: n + 1] = diag
+            if _openblas.dgetrf is not None and _openblas.lu_factor(self.lu, self.piv):
+                raise SolverError("singular Newton matrix")
+            self.lu_gamma, self.diag = self.g, diag
+        if _openblas.dgetrf is None:
+            try:
+                return np.linalg.solve(self.lu, rhs)
+            except np.linalg.LinAlgError:
+                raise SolverError("singular Newton matrix") from None
+        return _openblas.lu_solve(self.lu, self.piv, rhs)
 
 
 def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):

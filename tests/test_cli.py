@@ -518,6 +518,37 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
         assert lines == [f"error: {err}"]
 
 
+@pytest.mark.parametrize("lapack", ["numpy-openblas", "fallback"])
+def test_singular_newton_matrix_exit_code(tmp_path, monkeypatch, capsys, lapack):
+    # with mu = 0, an empty active set J and every residual inside the
+    # check-loss box, the first Newton matrix is W = 0: a solver failure,
+    # exit 2, whether dgetrf or np.linalg.solve finds it singular
+    import sqreg.pdsn as P
+    from sqreg import _openblas
+
+    monkeypatch.setattr(P, "NEWTON_MU", 0.0)
+    if lapack == "fallback":
+        monkeypatch.setattr(_openblas, "dgetrf", None)
+        monkeypatch.setattr(_openblas, "dgetrs", None)
+    seen = []
+    newton_direction = P._DualWork.newton_direction
+
+    def spy(work, rhs):
+        seen.append((work.pb != 0.0).any() or (work.pz != 0.0).any())
+        return newton_direction(work, rhs)
+
+    monkeypatch.setattr(P._DualWork, "newton_direction", spy)
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((40, 8)), 1e-3 * rng.standard_normal(40)
+    path = tmp_path / "tiny.csv"
+    path.write_text("".join(",".join(map(repr, [*row, yv])) + "\n"
+                            for row, yv in zip(X.tolist(), y.tolist())))
+    assert run(["fit", str(path), "--lambda", "0.01"]) == 2
+    assert seen == [False]
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: stage 1 solver failed: singular Newton matrix"]
+
+
 def test_fit_explicit_penalty_skips_default_lambda(tmp_path, monkeypatch):
     import sqreg.cli as C
 

@@ -1,4 +1,6 @@
 import copy
+import glob
+import os
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ from sqreg import (
     prox_check_loss,
     prox_weighted_l1,
 )
-from sqreg import pdsn
+from sqreg import _openblas, pdsn
 from sqreg.pdsn import _DualWork, _newton_solve, _strong_wolfe
 
 from conftest import make_problem, make_subproblem
@@ -181,8 +183,9 @@ def test_newton_matrix_rank_update(monkeypatch):
     # the unscaled active Gram W0 that one PPA solve keeps across its Newton
     # and PPA steps equals a fresh X_J X_J^T after every direction; a step
     # whose active set J is unchanged leaves it untouched, and a step that
-    # changes a few columns updates it in place
-    seen = {"kept": 0, "updated": 0}
+    # changes a few columns updates it in place. Built or updated, W0 is
+    # exactly symmetric, which lets newton_direction read it transposed
+    seen = {"kept": 0, "updated": 0, "built": 0}
     newton_direction = _DualWork.newton_direction
 
     def checked(work, rhs):
@@ -192,37 +195,43 @@ def test_newton_matrix_rank_update(monkeypatch):
         Xa = work.X[:, work.mask]
         fresh = Xa @ Xa.T
         assert np.linalg.norm(work.W0 - fresh) <= 1e-10 * np.linalg.norm(fresh)
+        assert np.array_equal(work.W0, work.W0.T)
         if mask is not None and np.array_equal(mask, work.mask):
             assert work.W0 is held and np.array_equal(work.W0, before)
             seen["kept"] += 1
         elif mask is not None and work.W0 is held:
             seen["updated"] += 1
+        else:
+            seen["built"] += 1
         return d
 
     monkeypatch.setattr(_DualWork, "newton_direction", checked)
     for seed in (3, 7):
         spec, _ = make_subproblem(seed, 30, 60, lam=0.05)
         ppa_solve(spec)
-    assert seen["kept"] >= 1 and seen["updated"] >= 1, seen
+    assert all(count >= 1 for count in seen.values()), seen
 
 
 def _replay_newton_directions(specs):
     """Run ppa_solve on each spec and check every newton_direction call, and
     the same call on a deep copy of the workspace taken just before it,
     against the fresh assembly W = W0 / gamma (a new C-ordered matrix) with
-    dvec added to its diagonal, by float hex. Returns the counts of the
-    calls, of the copies checked, and of the calls whose active set J was
-    empty, unchanged with gamma changed (a new PPA step), rank-updated or
-    rebuilt."""
+    dvec added to its diagonal, solved by np.linalg.solve, by float hex.
+    Returns the counts of the calls, of the copies checked, of the calls
+    that reused the factors of the call before, and of the calls whose
+    active set J was empty, unchanged with gamma changed (a new PPA step),
+    rank-updated or rebuilt."""
     newton_direction = _DualWork.newton_direction
-    seen = {"calls": 0, "empty": 0, "gamma only": 0, "rank update": 0, "rebuild": 0, "copied": 0}
+    seen = {"calls": 0, "empty": 0, "gamma only": 0, "rank update": 0, "rebuild": 0,
+            "copied": 0, "factors reused": 0}
     last_gamma = {}
 
     def hexes(v):
         return [float(x).hex() for x in v]
 
     def checked(work, rhs):
-        mask, held = work.mask, work.W0
+        mask, held, diag = work.mask, work.W0, work.diag
+        factors = None if work.lu is None else work.lu.copy(order="F")
         seen["calls"] += 1
         twin = copy.deepcopy(work) if seen["calls"] % 3 == 0 else None
         d = newton_direction(work, rhs)
@@ -230,10 +239,15 @@ def _replay_newton_directions(specs):
         fresh.flat[:: work.n + 1] += (work.pz != 0.0) / work.g + pdsn.NEWTON_MU
         want = hexes(np.linalg.solve(fresh, rhs))
         assert hexes(d) == want
-        assert work.W.flags.f_contiguous
+        assert work.lu.flags.f_contiguous
+        if diag is not None and work.diag is diag:  # no new factorization
+            assert np.array_equal(work.lu, factors)
+            seen["factors reused"] += 1
         if twin is not None:
             assert hexes(newton_direction(twin, rhs)) == want
-            assert twin.W.flags.f_contiguous and not np.shares_memory(twin.W, work.W)
+            for mine, its in ((work.lu, twin.lu), (work.piv, twin.piv)):
+                assert not np.shares_memory(mine, its)
+            assert twin.lu.flags.f_contiguous and np.array_equal(twin.lu, work.lu)
             seen["copied"] += 1
         seen["empty"] += not work.mask.any()
         if mask is not None:
@@ -254,20 +268,90 @@ def _replay_newton_directions(specs):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), p=st.integers(2, 80),
        lam=st.floats(0.005, 0.3), tau=st.floats(0.1, 0.9))
 def test_newton_direction_matches_fresh_assembly(seed, n, p, lam, tau):
-    # the scaled matrix kept across steps and its column-major buffer give
-    # the bits of a fresh W0 / gamma with dvec on its diagonal
+    # the LU factors kept across steps give the bits of np.linalg.solve on a
+    # fresh W0 / gamma with dvec on its diagonal
     spec, _ = make_subproblem(seed, n, p, lam=lam, tau=tau)
     _replay_newton_directions([spec])
 
 
 def test_newton_direction_replay_covers_the_cache():
-    # the replay above meets every way the kept matrix goes stale or stays
+    # the replay above meets every way the kept factors go stale or stay
     # valid: gamma shrinking over an unchanged J, J rank-updated and rebuilt,
-    # an empty J (the first step from beta = 0), and copied workspaces
+    # an empty J (the first step from beta = 0), a matrix equal to the last
+    # one factored, and copied workspaces
     specs = [make_subproblem(seed, 30, 80, lam=0.02)[0] for seed in (3, 77)]
     specs.append(make_subproblem(9, 200, 50, lam=0.05)[0])
     seen = _replay_newton_directions(specs)
     assert all(count >= 1 for count in seen.values()), seen
+
+
+def test_newton_factors_refresh_when_the_diagonal_hides_a_change():
+    # entries of X_J X_J^T / gamma far below mu vanish in the diagonal's
+    # rounding, not off it: a new gamma, or a column added to J, leaves every
+    # diagonal bit as it was and still changes the matrix. The kept factors
+    # must then be refreshed to those of the new matrix
+    if _openblas.dgetrf is None:
+        pytest.skip("this numpy ships no libscipy_openblas64_")
+
+    def direction(work, u):
+        work.value(u, work.X.T @ u)
+        d = work.newton_direction(np.array([1.0, -2.0, 0.5]))
+        fresh = np.asfortranarray(work.W0 / work.g)
+        fresh.flat[:: work.n + 1] += (work.pz != 0.0) / work.g + pdsn.NEWTON_MU
+        piv = np.empty(work.n, dtype=np.int64)
+        assert _openblas.lu_factor(fresh, piv) == 0
+        assert np.array_equal(work.lu, fresh) and np.array_equal(work.piv, piv)
+        return work.diag.copy()
+
+    beta = np.array([1.0, 0.0])  # J = {0} at u = 0, weights 0
+    # a new gamma: the one active column is tiny
+    X = np.array([[1e-12, 0.0], [1e-12, 0.0], [0.0, 0.0]])
+    pr = QuantileProblem(X, X @ beta, tau=0.5)  # z^j = 0: every residual in the box
+    work = make_work(SubproblemSpec(problem=pr, weights=np.zeros(2)), beta, gamma=0.1)
+    diag = direction(work, np.zeros(3))
+    work.anchor(beta, 0.05)
+    assert np.array_equal(direction(work, np.zeros(3)), diag)
+    # a rank update: column 1, tiny, joins J where W0 was 0
+    X = np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 1e-12]])
+    pr = QuantileProblem(X, X @ beta, tau=0.5)
+    work = make_work(SubproblemSpec(problem=pr, weights=np.zeros(2)), beta, gamma=0.1)
+    diag = direction(work, np.zeros(3))
+    W0 = work.W0
+    assert np.array_equal(direction(work, np.array([0.0, 0.01, 0.01])), diag)
+    assert work.W0 is W0 and work.mask.all()
+
+
+def test_newton_direction_without_numpy_openblas(monkeypatch):
+    # without numpy's bundled OpenBLAS, np.linalg.solve solves the assembled
+    # matrix at every step: the same direction bits, and the same solve
+    specs = [make_subproblem(seed, 30, 80, lam=0.02)[0] for seed in (3, 77)]
+    with_lapack = [ppa_solve(spec)[0] for spec in specs]
+    monkeypatch.setattr(_openblas, "dgetrf", None)
+    monkeypatch.setattr(_openblas, "dgetrs", None)
+    seen = _replay_newton_directions(specs)
+    assert seen["factors reused"] >= 1, seen
+    for spec, want in zip(specs, with_lapack):
+        got = ppa_solve(spec)[0]
+        for a, b in ((got.beta, want.beta), (got.u, want.u)):
+            assert [float(v).hex() for v in a] == [float(v).hex() for v in b]
+
+
+def test_numpy_openblas_lu_is_bound():
+    # a numpy that ships its OpenBLAS must get the Newton LU through it: a
+    # missed binding would fall back to np.linalg.solve without a sign
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    if not glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
+        pytest.skip("this numpy ships no libscipy_openblas64_")
+    for handle in (_openblas.set_num_threads, _openblas.dgetrf, _openblas.dgetrs):
+        assert handle is not None
+    # no pointer reaches LAPACK unless the arrays have the layout it reads
+    a, piv = np.asfortranarray(np.diag([2.0, 4.0, 8.0])), np.empty(3, dtype=np.int64)
+    with pytest.raises(ValueError):
+        _openblas.lu_factor(np.ascontiguousarray(a), piv)
+    assert _openblas.lu_factor(a, piv) == 0
+    assert np.array_equal(_openblas.lu_solve(a, piv, [2.0, 4.0, 8.0]), np.ones(3))
+    with pytest.raises(ValueError):
+        _openblas.lu_solve(a, piv, np.ones(4))
 
 
 def test_newton_fast_on_smooth_instance(monkeypatch):

@@ -8,6 +8,7 @@ or usage error, 2 non-convergence or solver failure.
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -195,20 +196,14 @@ def cmd_lambda_sweep(args):
     return 0
 
 
-# the last (SyntheticSpec, dataset) _dataset drew in this process; main
-# clears it, so that it holds only within one command
-_last_dataset = None
-
-
+@functools.lru_cache(maxsize=1)
 def _dataset(spec):
     """generate(spec), reusing the dataset of the previous call when its spec
     is equal: pool jobs come replication by replication, so each worker draws
     each replication's dataset once, and bench's replication 0 fits the
-    dataset its default lambda was drawn from."""
-    global _last_dataset
-    if _last_dataset is None or _last_dataset[0] != spec:
-        _last_dataset = (spec, generate(spec))
-    return _last_dataset[1]
+    dataset its default lambda was drawn from. main clears the memo, so that
+    it holds only within one command."""
+    return generate(spec)
 
 
 def _fit_job(job):
@@ -377,7 +372,6 @@ def build_parser():
 
 
 def main(argv=None):
-    global _last_dataset
     _pin_blas_threads()
     ap = build_parser()
     try:
@@ -392,7 +386,7 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return 2
     finally:
-        _last_dataset = None
+        _dataset.cache_clear()
 
 
 if __name__ == "__main__":

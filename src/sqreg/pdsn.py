@@ -43,8 +43,8 @@ CG_TOL = 1e-9    # relative residual of the CG Newton solve
 
 @dataclass
 class SubproblemSpec:
-    """One weighted-l1 subproblem: data, weights and the solvers' start
-    point ``anchor`` (default 0)."""
+    """One weighted-l1 subproblem: data, weights (nonnegative, +inf
+    allowed) and the solvers' finite start point ``anchor`` (default 0)."""
 
     problem: object
     weights: np.ndarray
@@ -55,10 +55,13 @@ class SubproblemSpec:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (p,):
             raise ValueError("weights must have length p")
-        if np.any(w < 0):
+        if not np.all(w >= 0):  # NaN fails it too
             raise ValueError("weights must be nonnegative")
         self.weights = w
-        self.anchor = np.zeros(p) if self.anchor is None else np.asarray(self.anchor, float)
+        anchor = np.zeros(p) if self.anchor is None else np.asarray(self.anchor, float)
+        if anchor.shape != (p,) or not np.all(np.isfinite(anchor)):
+            raise ValueError("anchor must be a finite vector of length p")
+        self.anchor = anchor
 
     def objective(self, beta, z=None):
         """Subproblem objective f_tau(z) + sum_i omega_i |beta_i|, with the
@@ -110,8 +113,8 @@ class _DualWork:
         # arguments, and the prox arguments q, their clips and images
         # q - clip at the last evaluated point (see value)
         m = self.n + self.p
-        self._anc, self._lo, self._hi, self._q, self._c, self._img, self._v = (
-            np.empty(m) for _ in range(7))
+        self._anc, self._lo, self._hi, self._q, self._c, self._img = (
+            np.empty(m) for _ in range(6))
         self._le = np.empty(self.n, dtype=bool)
         self._bind_blocks()
         # Newton matrix: the active mask J of the last dense solve, the
@@ -153,20 +156,17 @@ class _DualWork:
             np.divide(self.omega, self.g, out=self._hi[n:])
         np.negative(self._hi[n:], out=self._lo[n:])
 
-    def value(self, u, Xtu):
-        """Psi(u), leaving the prox arguments q1 = beta^j - X^T u/g,
-        q2 = z^j - u/g and their images pz = P f_tau(q2), pb = P h(q1)
-        (``box_residual`` over the stacked bounds) in the buffers
-        ``self.q1``, ``self.q2``, ``self.pz``, ``self.pb``, which the next
-        call overwrites.
+    def value(self, v):
+        """Psi at the stacked dual point v = (u; X^T u), leaving the prox
+        arguments q1 = beta^j - X^T u/g, q2 = z^j - u/g and their images
+        pz = P f_tau(q2), pb = P h(q1) (``box_residual`` over the stacked
+        bounds) in the buffers ``self.q1``, ``self.q2``, ``self.pz``,
+        ``self.pb``, which the next call overwrites.
 
         The dual minimum equals minus the regularized primal minimum.
         """
-        return self._value(np.concatenate((u, Xtu), out=self._v), u, Xtu)
-
-    def _value(self, v, u, Xtu):
-        """value at the stacked point v = (u; Xtu), whose blocks are u and Xtu."""
         q, c, cz, cb, pz = self._q, self._c, self._cz, self._cb, self.pz
+        u, Xtu = v[:self.n], v[self.n:]
         np.subtract(self._anc, np.divide(v, self.g, out=q), out=q)
         box_residual(q, self._lo, self._hi, clip=c, out=self._img)
         cz2, cb2 = float(cz.dot(cz)), float(cb.dot(cb))
@@ -177,28 +177,24 @@ class _DualWork:
         quad = 0.5 * float(u.dot(u)) / self.g + 0.5 * float(Xtu.dot(Xtu)) / self.g
         return quad - env_f - env_h
 
-    def dir_deriv(self, d, Xtd):
-        """<grad Psi, d> at the last evaluated point:
-        <Phi, d> = <y - pz, d> - <pb, X^T d>."""
+    def dir_deriv(self, dv):
+        """<grad Psi, d> at the last evaluated point, along the stacked
+        direction dv = (d; X^T d): <Phi, d> = <y - pz, d> - <pb, X^T d>."""
         ypz = np.subtract(self.y, self.pz, out=self._cz)
-        return float(ypz.dot(d) - self.pb.dot(Xtd))
+        return float(ypz.dot(dv[:self.n]) - self.pb.dot(dv[self.n:]))
 
-    def along(self, u, Xtu, d, Xtd):
-        """The line-search evaluator a -> (Psi(u + a d), <grad Psi(u + a d), d>),
-        with the stacked trial point formed in a buffer of this evaluator. A
-        non-finite Psi raises SolverError.
+    def along(self, v, dv):
+        """The line-search evaluator a -> (Psi(v + a dv), <grad Psi(v + a dv), d>)
+        on the stacked point v and direction dv, with the trial point formed
+        in a buffer of this evaluator. A non-finite Psi raises SolverError.
         """
-        base = np.concatenate((u, Xtu))
-        step = np.concatenate((d, Xtd))
-        trial = np.empty_like(base)
-        ua, Xtua = trial[:self.n], trial[self.n:]
+        trial = np.empty_like(v)
 
         def ev(a):
-            np.add(base, np.multiply(step, a, out=trial), out=trial)
-            psi = self._value(trial, ua, Xtua)
+            psi = self.value(np.add(v, np.multiply(dv, a, out=trial), out=trial))
             if not math.isfinite(psi):
                 raise SolverError("non-finite dual value in line search")
-            return psi, self.dir_deriv(d, Xtd)
+            return psi, self.dir_deriv(dv)
 
         return ev
 
@@ -288,18 +284,16 @@ class _DualWork:
         return _openblas.lu_solve(self.lu, self.piv, rhs)
 
 
-def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
-    """Strong-Wolfe step along d by bracketing + safeguarded bisection.
+def _strong_wolfe(ev, psi0, dpsi0):
+    """Strong-Wolfe step of the evaluator ev: a -> (psi(a), psi'(a)) by
+    bracketing + safeguarded bisection, from psi(0) = psi0, psi'(0) = dpsi0.
 
     The zoom trial point is the secant root of the directional derivative
     (piecewise linear here, so usually exact), clipped away from the bracket
     ends; bisection is the fallback. Returns (alpha, psi, ok). When ok,
-    alpha is the last point evaluated, so ``work`` still holds its prox
-    arguments and images; the best-bisection fallback (not ok) may return an
-    earlier one.
+    alpha is the last point evaluated; the best-bisection fallback (not ok)
+    may return an earlier one.
     """
-
-    ev = work.along(u, Xtu, d, Xtd)
     a_prev, psi_prev, dpsi_prev = 0.0, psi0, dpsi0
     a = 1.0
     c1, c2 = WOLFE_C1, WOLFE_C2
@@ -347,41 +341,41 @@ def _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0):
 
 
 def _newton_solve(work, u0, tol):
-    """Semismooth Newton on Phi(u) = 0; returns (u, info dict)."""
-    u = np.asarray(u0, dtype=float).copy()
-    Xtu = work.X.T @ u
+    """Semismooth Newton on Phi(u) = 0; returns (u, info dict). The iterate
+    and the direction are stacked as v = (u; X^T u) and dv = (d; X^T d)."""
+    u = np.asarray(u0, dtype=float)
+    v = np.concatenate((u, work.X.T @ u))
     ynorm1 = 1.0 + np.linalg.norm(work.y)
     warn = []
-    psi = work.value(u, Xtu)
+    psi = work.value(v)
     phi, pb = work.gradient_here()
     iters = 0
     for iters in range(MAX_NEWTON_ITERS):
         res = np.linalg.norm(phi) / ynorm1
         if res <= tol:
             break
-        # work holds the prox arguments and images at u
+        # work holds the prox arguments and images at v
         d = work.newton_direction(-phi)
-        Xtd = work.X.T @ d
-        dpsi0 = work.dir_deriv(d, Xtd)
+        dv = np.concatenate((d, work.X.T @ d))
+        dpsi0 = work.dir_deriv(dv)
         if dpsi0 >= 0.0:  # numerically flat; nothing left to gain
             break
-        alpha, psi_a, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi, dpsi0)
+        alpha, psi_a, ok = _strong_wolfe(work.along(v, dv), psi, dpsi0)
         if not ok and alpha == 0.0:
             warn.append("line search made no progress")
             break
-        u = u + alpha * d
-        Xtu = Xtu + alpha * Xtd
-        if ok:  # the search evaluated u last: work holds its images
+        v = v + alpha * dv
+        if ok:  # the search evaluated v last: work holds its images
             psi = psi_a
         else:
             warn.append("line search returned best bisection point")
-            psi = work.value(u, Xtu)
+            psi = work.value(v)
         phi, pb = work.gradient_here()
     else:
         iters = MAX_NEWTON_ITERS
         warn.append("newton iteration cap reached")
     res = np.linalg.norm(phi) / ynorm1
-    return u, {"iters": iters, "phi_rel": float(res), "beta_image": pb, "warnings": warn}
+    return v[:work.n].copy(), {"iters": iters, "phi_rel": float(res), "beta_image": pb, "warnings": warn}
 
 
 def ppa_solve(spec, u0=None):

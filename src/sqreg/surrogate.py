@@ -3,10 +3,12 @@ h_rho(t) = rho|t| - psi*(rho|t|), closed-form weight updates, and the exact
 penalty threshold.
 
 Each family, selected by name, is a quadratic phi(t) = A t^2 + B t + C on
-[0, 1] with min phi = 0 and phi(1) = 1, and every quantity but the weight
-update is one formula in (A, B, C). mcp's phi, whose minimum lies inside
-[0, 1], is evaluated in vertex form A (t - v)^2 with v = -B/(2A), so that
-it is exactly 0 at its minimizer t* = v:
+[0, 1] with min phi = 0 and phi(1) = 1. phi and the exact-penalty threshold
+are formulas in (A, B, C); the maximizer of s t - phi(t), which the weight
+update, the conjugate, t* and t0 share, keeps each family's own expression,
+whose rounding the fits depend on. mcp's phi, whose minimum lies inside
+[0, 1], is evaluated in vertex form A (t - t*)^2, so that it is exactly 0
+at its minimizer t*:
 
 - ``capped-l1``: (0, 1, 0); h gives the capped-l1 penalty.
 - ``scad``: ((a-1)/(a+1), 2/(a+1), 0) with a > 1; h reduces to SCAD.
@@ -54,8 +56,7 @@ class SurrogateFamily:
         A, B, C = self.coef
         t = np.asarray(t, dtype=float)
         if self.kind == "mcp":
-            v = -B / (2.0 * A)  # t*: _maximizer's root at s = 0, inside [0, 1]
-            out = A * (t - v) ** 2
+            out = A * (t - self.t_star()) ** 2
         else:
             out = A * t**2 + B * t + C
         return out if np.ndim(out) else float(out)
@@ -66,12 +67,18 @@ class SurrogateFamily:
         out = np.where((t >= 0.0) & (t <= 1.0), self.phi(np.clip(t, 0.0, 1.0)), np.inf)
         return out if out.ndim else float(out)
 
-    def _maximizer(self, s):
-        """argmax_{0<=t<=1} s t - phi(t): the root of phi'(t) = 2At + B = s
-        clipped to [0, 1]; for A = 0 the 0/1 step at s = B (tie broken to 0)."""
-        A, B, _ = self.coef
-        s = np.asarray(s, dtype=float)
-        return np.where(s > B, 1.0, 0.0) if A == 0.0 else np.clip((s - B) / (2.0 * A), 0.0, 1.0)
+    def _maximizer(self, b, rho=1.0):
+        """argmax_{0<=t<=1} s t - phi(t) at s = rho b: the root of
+        phi'(t) = 2At + B = s clipped to [0, 1], for capped-l1 (A = 0) the
+        0/1 step at s = 1 (tie broken to 0). Each family's expression in
+        (a, rho, b) and its evaluation order are the fits'."""
+        b = np.asarray(b, dtype=float)
+        a = self.a
+        if self.kind == "capped-l1":
+            return np.where(rho * b > 1.0, 1.0, 0.0)
+        if self.kind == "scad":
+            return np.clip(((a + 1.0) * rho * b - 2.0) / (2.0 * (a - 1.0)), 0.0, 1.0)
+        return np.clip(2.0 * rho * b / a**2 + 1.0 - 2.0 / a, 0.0, 1.0)
 
     def t_star(self):
         """Minimizer of phi over [0,1]."""
@@ -93,19 +100,11 @@ class SurrogateFamily:
         return out if out.ndim else float(out)
 
     def w_update(self, rho, beta_abs):
-        """argmin_{0<=w<=1} phi(w) - rho*w*beta_abs, componentwise: in exact
-        arithmetic _maximizer(rho |beta|), but each family keeps its own
-        expression, whose rounding the fits depend on."""
+        """argmin_{0<=w<=1} phi(w) - rho*w*beta_abs, componentwise:
+        _maximizer(|beta_abs|, rho)."""
         if rho <= 0:
             raise ValueError("rho must be positive")
-        b = np.abs(np.asarray(beta_abs, dtype=float))
-        a = self.a
-        if self.kind == "capped-l1":
-            out = np.where(rho * b > 1.0, 1.0, 0.0)
-        elif self.kind == "scad":
-            out = np.clip(((a + 1.0) * rho * b - 2.0) / (2.0 * (a - 1.0)), 0.0, 1.0)
-        else:
-            out = np.clip(2.0 * rho * b / a**2 + 1.0 - 2.0 / a, 0.0, 1.0)
+        out = self._maximizer(np.abs(np.asarray(beta_abs, dtype=float)), rho)
         return out if out.ndim else float(out)
 
     def t_zero(self):

@@ -90,15 +90,15 @@ def test_c2_dual_gradient():
         for _ in range(10):
             u = 0.05 * rng.standard_normal(20)
             for work in works:
-                work.value(u, X.T @ u)
+                work.value(np.concatenate((u, X.T @ u)))
                 phi, _ = work.gradient_here()
                 h = 1e-6
                 scale = max(1.0, np.max(np.abs(phi)))
                 for i in range(20):
                     e = np.zeros(20)
                     e[i] = h
-                    up = work.value(u + e, X.T @ (u + e))
-                    dn = work.value(u - e, X.T @ (u - e))
+                    up = work.value(np.concatenate((u + e, X.T @ (u + e))))
+                    dn = work.value(np.concatenate((u - e, X.T @ (u - e))))
                     worst = max(worst, abs((up - dn) / (2 * h) - phi[i]) / scale)
     wall = time.perf_counter() - t0
     assert worst <= 1e-5

@@ -257,7 +257,7 @@ def test_tau_sweep_draws_each_dataset_once(tmp_path, monkeypatch):
     seeds = drawn_seeds(monkeypatch)
     assert run(TAU_SWEEP_3X3 + ["--threads", "1", "--out", str(tmp_path / "t.csv")]) == 0
     assert seeds == [9, 9 ^ 1, 9 ^ 2]
-    assert C._last_dataset is None
+    assert C._dataset.cache_info().currsize == 0
 
 
 def test_bench_fits_the_default_lambda_dataset(tmp_path, monkeypatch):
@@ -269,10 +269,10 @@ def test_bench_fits_the_default_lambda_dataset(tmp_path, monkeypatch):
     argv = ["bench", "--n", "30", "--p", "20", "--reps", "2", "--seed", "5", "--threads", "1"]
     assert run(argv + ["--out", str(tmp_path / "b.jsonl")]) == 0
     assert seeds == [5, 5 ^ 1]
-    assert C._last_dataset is None
+    assert C._dataset.cache_info().currsize == 0
     assert run(argv + ["--a", "inf"]) == 1
     assert seeds == [5, 5 ^ 1, 5]
-    assert C._last_dataset is None
+    assert C._dataset.cache_info().currsize == 0
 
 
 def test_tau_sweep_process_pool_matches_serial(tmp_path):

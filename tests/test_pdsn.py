@@ -30,12 +30,17 @@ def make_work(spec, beta=None, gamma=0.05):
     return _DualWork(spec, beta, gamma)
 
 
+def stack(work, u):
+    """The stacked dual point (u; X^T u) the workspace evaluates."""
+    return np.concatenate((u, work.X.T @ u))
+
+
 def psi(work, u):
-    return work.value(u, work.X.T @ u)
+    return work.value(stack(work, u))
 
 
 def phi(work, u):
-    work.value(u, work.X.T @ u)
+    work.value(stack(work, u))
     return work.gradient_here()[0]
 
 
@@ -111,18 +116,18 @@ def test_line_evaluator_bit_identical(rng):
     beta = 0.2 * rng.standard_normal(p)
     beta[3] = -0.0
     u, d = 0.05 * rng.standard_normal(n), rng.standard_normal(n)
-    Xtu, Xtd = X.T @ u, X.T @ d
-    hexes = lambda pair: tuple(float(v).hex() for v in pair)
+    v, dv = np.concatenate((u, X.T @ u)), np.concatenate((d, X.T @ d))
+    hexes = lambda pair: tuple(float(x).hex() for x in pair)
     for gamma in (0.07, 0.04):
         work = make_work(spec, beta, gamma=gamma)
-        ev = work.along(u, Xtu, d, Xtd)
+        ev = work.along(v, dv)
         # a1, a2, a1: a repeat must not see state left by the call before it
         for a in (0.0, 0.37, 2.5, 0.37, 1.0, 1e-3):
-            ua, Xtua = u + a * d, Xtu + a * Xtd
-            want = hexes(_value_dir_deriv_fresh(work, ua, Xtua, d, Xtd))
+            va = v + a * dv
+            want = hexes(_value_dir_deriv_fresh(work, va[:n], va[n:], d, dv[n:]))
             assert hexes(ev(a)) == want
-            assert float(work.value(ua, Xtua)).hex() == want[0]
-            assert float(work.dir_deriv(d, Xtd)).hex() == want[1]
+            assert float(work.value(va)).hex() == want[0]
+            assert float(work.dir_deriv(dv)).hex() == want[1]
         # a non-finite dual value stops the search
         with np.errstate(invalid="ignore"), pytest.raises(pdsn.SolverError):
             ev(np.inf)
@@ -134,24 +139,23 @@ def test_dual_work_copy_evaluates_alike(rng):
     spec, _ = make_subproblem(5, 12, 25, lam=0.1)
     work = make_work(spec, 0.1 * rng.standard_normal(25), gamma=0.07)
     twin = copy.deepcopy(work)
-    u, d = 0.05 * rng.standard_normal(12), rng.standard_normal(12)
-    Xtu, Xtd = work.X.T @ u, work.X.T @ d
-    hexes = lambda values: [float(v).hex() for v in values]
-    want = hexes([work.value(u, Xtu), work.dir_deriv(d, Xtd), *work.q1, *work.pz])
+    v, dv = stack(work, 0.05 * rng.standard_normal(12)), stack(work, rng.standard_normal(12))
+    hexes = lambda values: [float(x).hex() for x in values]
+    want = hexes([work.value(v), work.dir_deriv(dv), *work.q1, *work.pz])
     pb = work.pb.copy()
-    got = hexes([twin.value(u, Xtu), twin.dir_deriv(d, Xtd), *twin.q1, *twin.pz])
+    got = hexes([twin.value(v), twin.dir_deriv(dv), *twin.q1, *twin.pz])
     assert got == want
     assert np.array_equal(work.pb, pb)
     for w in (work, twin):
         assert np.shares_memory(w.q1, w._q) and np.shares_memory(w.pz, w._img)
-    assert hexes(twin.along(u, Xtu, d, Xtd)(0.3)) == hexes(work.along(u, Xtu, d, Xtd)(0.3))
+    assert hexes(twin.along(v, dv)(0.3)) == hexes(work.along(v, dv)(0.3))
 
 
 def test_newton_matrix_structure(rng):
     spec, _ = make_subproblem(3, 8, 15, lam=0.12)
     work = make_work(spec)
     u = 0.1 * rng.standard_normal(8)
-    work.value(u, work.X.T @ u)  # leaves the prox arguments in work.q1, work.q2
+    work.value(stack(work, u))  # leaves the prox arguments in work.q1, work.q2
     q1, q2 = work.q1, work.q2
     # dense reference W = gamma^{-1} (U + X V X^T) + mu I, mu = 1e-5, with
     # the Clarke elements U = 1 outside the check-loss kinks and V = 1 where
@@ -172,7 +176,7 @@ def test_newton_matrix_empty_active_set():
     pr = QuantileProblem(np.eye(3), np.array([5.0, -4.0, 3.0]), tau=0.5)
     spec = SubproblemSpec(problem=pr, weights=np.full(3, 1e3))
     work = make_work(spec, gamma=1.0)
-    work.value(np.zeros(3), np.zeros(3))
+    work.value(np.zeros(6))
     rhs = np.array([1.0, -2.0, 3.0])
     # V = 0 (huge weights), U = I (large residuals): W = (1/g + mu) I
     d = work.newton_direction(rhs)
@@ -294,7 +298,7 @@ def test_newton_factors_refresh_when_the_diagonal_hides_a_change():
         pytest.skip("this numpy ships no libscipy_openblas64_")
 
     def direction(work, u):
-        work.value(u, work.X.T @ u)
+        work.value(stack(work, u))
         d = work.newton_direction(np.array([1.0, -2.0, 0.5]))
         fresh = np.asfortranarray(work.W0 / work.g)
         fresh.flat[:: work.n + 1] += (work.pz != 0.0) / work.g + pdsn.NEWTON_MU
@@ -377,7 +381,7 @@ def test_newton_residual_and_gap(rng):
     res /= 1.0 + np.linalg.norm(spec.problem.response)
     assert res <= 1e-8
     # primal-dual gap of the regularized subproblem at the recovered primal
-    work.value(u, work.X.T @ u)
+    work.value(stack(work, u))
     _, pb = work.gradient_here()
     reg_primal = spec.objective(pb)
     reg_primal += 0.5 * work.g * np.sum((pb - work.bj) ** 2)
@@ -391,8 +395,8 @@ def test_newton_monotone_psi(monkeypatch):
     # search starts where the last one ended and returns a lower value
     psis = []
 
-    def recording(work, u, Xtu, d, Xtd, psi0, dpsi0):
-        alpha, psi_a, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0)
+    def recording(ev, psi0, dpsi0):
+        alpha, psi_a, ok = _strong_wolfe(ev, psi0, dpsi0)
         psis.extend((psi0, psi_a))
         return alpha, psi_a, ok
 
@@ -534,6 +538,28 @@ def test_ppa_zero_certificate(n, p, tau, seed):
     assert np.any(state.beta != 0.0)
 
 
+def _bad_spec(case):
+    problem, _ = make_problem(3, 20, 30)
+    weights, anchor = np.full(30, 0.05), None
+    if case == "nan weight":
+        weights[2] = np.nan
+    elif case == "non-finite anchor":
+        anchor = np.zeros(30)
+        anchor[[1, 4]] = np.inf, np.nan
+    else:
+        anchor = np.zeros(29)
+    return dict(problem=problem, weights=weights, anchor=anchor)
+
+
+@pytest.mark.parametrize("case", ["nan weight", "non-finite anchor", "anchor of length p - 1"])
+def test_spec_rejects_bad_input(case):
+    # rejected where the spec is made, not as a solver failure after
+    # RuntimeWarnings; +inf weights stay allowed
+    with pytest.raises(ValueError):
+        SubproblemSpec(**_bad_spec(case))
+    SubproblemSpec(problem=make_problem(3, 20, 30)[0], weights=np.full(30, np.inf))
+
+
 def test_cg_branch_matches_dense(monkeypatch):
     # lowering the dense threshold forces the Jacobi-preconditioned CG path
     spec, _ = make_subproblem(42, 30, 60, lam=0.1)
@@ -588,7 +614,8 @@ def _newton_solve_reference(work, u0, tol, max_iters):
         psi0, dpsi0 = _value_dir_deriv_fresh(work, u, Xtu, d, Xtd)
         if dpsi0 >= 0.0:
             break
-        alpha, _, ok = _strong_wolfe(work, u, Xtu, d, Xtd, psi0, dpsi0)
+        ev = work.along(np.concatenate((u, Xtu)), np.concatenate((d, Xtd)))
+        alpha, _, ok = _strong_wolfe(ev, psi0, dpsi0)
         if not ok and alpha == 0.0:
             warn.append("line search made no progress")
             break

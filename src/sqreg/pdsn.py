@@ -37,14 +37,12 @@ WOLFE_C1 = 1e-4  # strong-Wolfe sufficient decrease
 WOLFE_C2 = 0.9   # strong-Wolfe curvature
 MAX_ZOOM = 50    # line-search zoom steps
 NEWTON_MU = 1e-5  # regularization mu I of the Newton matrix
-DENSE_SOLVE_MAX_N = 2000  # above this n, the Newton system is solved by CG
-CG_TOL = 1e-9    # relative residual of the CG Newton solve
 
 
 @dataclass
 class SubproblemSpec:
-    """One weighted-l1 subproblem: data, weights (nonnegative, +inf
-    allowed) and the solvers' finite start point ``anchor`` (default 0)."""
+    """One weighted-l1 subproblem: data, weights (finite and nonnegative)
+    and the solvers' finite start point ``anchor`` (default 0)."""
 
     problem: object
     weights: np.ndarray
@@ -55,8 +53,8 @@ class SubproblemSpec:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (p,):
             raise ValueError("weights must have length p")
-        if not np.all(w >= 0):  # NaN fails it too
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("weights must be finite and nonnegative")
         self.weights = w
         anchor = np.zeros(p) if self.anchor is None else np.asarray(self.anchor, float)
         if anchor.shape != (p,) or not np.all(np.isfinite(anchor)):
@@ -117,11 +115,11 @@ class _DualWork:
             np.empty(m) for _ in range(6))
         self._le = np.empty(self.n, dtype=bool)
         self._bind_blocks()
-        # Newton matrix: the active mask J of the last dense solve, the
-        # unscaled active Gram W0 = X_J X_J^T, the count of columns updated
-        # since W0 was built, the column-major buffer lu with the LU factors
-        # (pivots piv) of the matrix last factored, and that matrix's gamma
-        # lu_gamma and diagonal diag; diag is None when W0 changed after it
+        # Newton matrix: the active mask J of the last solve, the unscaled
+        # active Gram W0 = X_J X_J^T, the count of columns updated since W0
+        # was built, the column-major buffer lu with the LU factors (pivots
+        # piv) of the matrix last factored, and that matrix's gamma lu_gamma
+        # and diagonal diag; diag is None when W0 changed after it
         self.mask = self.W0 = self.lu = self.piv = self.lu_gamma = self.diag = None
         self.updates = 0
         self.anchor(beta_anchor, gamma)
@@ -212,33 +210,18 @@ class _DualWork:
         strictly outside [lo2, hi2], and V = (pb != 0), 1 where |q1| >
         omega/g. mu = NEWTON_MU.
 
-        The dense path keeps W0 = X_J X_J^T across calls and rank-updates it
-        when the active set J changes by a few columns, rebuilding it after
-        many. It keeps the LU factors of the last matrix it factored, W0 /
-        gamma with diag(W0 / gamma) + dvec on its diagonal, and factors anew
-        only when W0, gamma or a bit of that diagonal changed. Each entry
-        gets the floating-point operations of a fresh assembly, and
-        dgetrf + dgetrs of numpy's OpenBLAS give np.linalg.solve's bits.
-        Without that library, np.linalg.solve solves the assembled matrix.
-        A singular matrix raises SolverError.
+        The solve is a dense LU, for every n. It keeps W0 = X_J X_J^T across
+        calls and rank-updates it when the active set J changes by a few
+        columns, rebuilding it after many. It keeps the LU factors of the
+        last matrix it factored, W0 / gamma with diag(W0 / gamma) + dvec on
+        its diagonal, and factors anew only when W0, gamma or a bit of that
+        diagonal changed. Each entry gets the floating-point operations of a
+        fresh assembly, and dgetrf + dgetrs of numpy's OpenBLAS give
+        np.linalg.solve's bits. Without that library, np.linalg.solve solves
+        the assembled matrix. A singular matrix raises SolverError.
         """
         dvec = (self.pz != 0.0) / self.g + NEWTON_MU
         mask = self.pb != 0.0
-        if self.n > DENSE_SOLVE_MAX_N:
-            from scipy.sparse.linalg import LinearOperator, cg  # deferred: a slow import
-
-            Xa = self.X[:, mask]
-
-            def matvec(v):
-                return dvec * v + (Xa @ (Xa.T @ v)) / self.g
-
-            op = LinearOperator((self.n, self.n), matvec=matvec)
-            jacobi = dvec + np.sum(Xa**2, axis=1) / self.g
-            pre = LinearOperator((self.n, self.n), matvec=lambda v: v / jacobi)
-            sol, info = cg(op, rhs, rtol=CG_TOL, atol=0.0, M=pre, maxiter=10 * self.n)
-            if info != 0:
-                raise SolverError("conjugate gradient failed on the Newton system")
-            return sol
         n = self.n
         rebuild = self.mask is None
         if rebuild:

@@ -14,7 +14,7 @@ SUPPORT_REL_TOL = 1e-6  # support rule |beta_i| > SUPPORT_REL_TOL max(1, ||beta|
 
 
 def _frozen_array(a, dtype=float):
-    a = np.array(a, dtype=dtype, copy=True)
+    a = np.array(a, dtype=dtype, copy=True, order="C")
     a.setflags(write=False)
     return a
 
@@ -31,7 +31,9 @@ class QuantileProblem:
     intercept_column : True when column 0 of ``design`` is the all-ones column.
 
     Instances are immutable (arrays are marked read-only) and safe to share
-    across concurrent solver runs; ``norms`` caches the design's norms.
+    across concurrent solver runs; ``norms`` caches the design's norms. The
+    design is stored C-ordered whatever its input's layout, because numpy's
+    column sums round differently in the other memory order.
     """
 
     design: np.ndarray

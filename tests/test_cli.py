@@ -502,7 +502,7 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
             assert run(["fit", data, "--lambda", "0.1", "--solver", solver]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: stage 1 solver failed: {message}"]
-    for err in (SolverError("conjugate gradient failed on the Newton system"),
+    for err in (SolverError("stage 3 solver failed: singular Newton matrix"),
                 RuntimeError("not a solver failure")):
         def failing(problem, cfg, err=err):
             raise err

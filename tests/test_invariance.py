@@ -1,7 +1,8 @@
 """Invariances of the solvers that need no recorded reference: reflecting
 (tau, y) to (1 - tau, -y) negates beta, and permuting the columns of X with
 the weights, or the rows of (X, y), permutes beta or leaves it as it is, for
-single subproblem solves and for whole MSCRA fits."""
+single subproblem solves and for whole MSCRA fits. The design's memory order
+changes no bit at all."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -84,3 +85,17 @@ def test_mscra_reflection_negates_beta(case):
     lam = default_lambda(pr)
     beta = fit(pr.design, pr.response, pr.tau, lam)
     assert_close(fit(pr.design, -pr.response, 1.0 - pr.tau, lam), -beta)
+
+
+def test_design_memory_order_changes_no_bit():
+    # numpy sums a C-ordered matrix's columns row by row and an F-ordered
+    # one's pairwise; the problem stores its design C-ordered, so the column
+    # sums, the default lambda and the fit are the same to the bit
+    pr = make_problem(247, 106, 187)[0]
+    fortran = QuantileProblem(np.asfortranarray(pr.design), pr.response, tau=pr.tau)
+    assert fortran.design.flags.c_contiguous
+    assert pr.norms.col_sum.hex() == fortran.norms.col_sum.hex()
+    lam = default_lambda(pr)
+    assert lam.hex() == default_lambda(fortran).hex()
+    hexes = [[float(v).hex() for v in fit(p.design, p.response, p.tau, lam)] for p in (pr, fortran)]
+    assert hexes[0] == hexes[1]

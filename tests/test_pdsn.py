@@ -12,8 +12,11 @@ from scipy.optimize import linprog
 from sqreg import (
     QuantileProblem,
     SubproblemSpec,
+    SyntheticSpec,
     check_loss,
+    generate,
     kkt_residual,
+    lambda_grid,
     ppa_solve,
     prox_check_loss,
     prox_weighted_l1,
@@ -289,6 +292,21 @@ def test_newton_direction_replay_covers_the_cache():
     assert all(count >= 1 for count in seen.values()), seen
 
 
+def test_newton_direction_on_tall_data(monkeypatch):
+    # n = 2100 > p: every direction is the dense LU's, with the bits of
+    # np.linalg.solve, as for the small systems above. Three capped Newton
+    # steps of a fit's stage-1 subproblem at the default lambda: on the
+    # third, a Jacobi-preconditioned CG solve stalls at its 10 n iteration
+    # cap
+    problem = generate(SyntheticSpec(n=2100, p=300, beta_pattern="fixed16", seed=2)).problem
+    lam = lambda_grid(problem, 0.1, 0.1, 1)[0]
+    monkeypatch.setattr(pdsn, "MAX_NEWTON_ITERS", 3)
+    monkeypatch.setattr(pdsn, "MAX_PPA_ITERS", 1)
+    seen = _replay_newton_directions([SubproblemSpec(problem=problem,
+                                                     weights=np.full(problem.p, lam))])
+    assert seen["calls"] == 3, seen
+
+
 def test_newton_factors_refresh_when_the_diagonal_hides_a_change():
     # entries of X_J X_J^T / gamma far below mu vanish in the diagonal's
     # rounding, not off it: a new gamma, or a column added to J, leaves every
@@ -543,6 +561,8 @@ def _bad_spec(case):
     weights, anchor = np.full(30, 0.05), None
     if case == "nan weight":
         weights[2] = np.nan
+    elif case == "+inf weights":
+        weights[[0, 7, 11, 19, 28]] = np.inf
     elif case == "non-finite anchor":
         anchor = np.zeros(30)
         anchor[[1, 4]] = np.inf, np.nan
@@ -551,23 +571,14 @@ def _bad_spec(case):
     return dict(problem=problem, weights=weights, anchor=anchor)
 
 
-@pytest.mark.parametrize("case", ["nan weight", "non-finite anchor", "anchor of length p - 1"])
+@pytest.mark.parametrize("case", ["nan weight", "+inf weights", "non-finite anchor",
+                                  "anchor of length p - 1"])
 def test_spec_rejects_bad_input(case):
     # rejected where the spec is made, not as a solver failure after
-    # RuntimeWarnings; +inf weights stay allowed
+    # RuntimeWarnings: an +inf weight's zero image would make inf * 0 = NaN
+    # in the dual value and the objective
     with pytest.raises(ValueError):
         SubproblemSpec(**_bad_spec(case))
-    SubproblemSpec(problem=make_problem(3, 20, 30)[0], weights=np.full(30, np.inf))
-
-
-def test_cg_branch_matches_dense(monkeypatch):
-    # lowering the dense threshold forces the Jacobi-preconditioned CG path
-    spec, _ = make_subproblem(42, 30, 60, lam=0.1)
-    s_dn, r_dn = ppa_solve(spec)
-    monkeypatch.setattr(pdsn, "DENSE_SOLVE_MAX_N", 10)
-    s_cg, r_cg = ppa_solve(spec)
-    assert abs(r_cg.objective - r_dn.objective) <= 1e-7
-    assert r_cg.residuals["err_ppa"] <= 1e-8
 
 
 def test_ppa_asymmetric_tau_lp_oracle():

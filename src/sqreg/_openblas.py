@@ -6,7 +6,8 @@ routines take 64-bit (ILP64) integers and carry a ``scipy_`` prefix and a
 ``set_num_threads``, ``dgetrf`` and ``dgetrs`` are its ctypes handles, each
 None when numpy ships no such library (a numpy built against a system BLAS).
 OpenBLAS's ``dgesv``, behind ``np.linalg.solve``, is ``dgetrf`` followed by
-``dgetrs``, so at one BLAS thread lu_factor and lu_solve give its bits.
+``dgetrs``, so at one BLAS thread lu_factor and lu_solve give its bits,
+with the library or without it (see each).
 """
 
 import ctypes
@@ -54,19 +55,25 @@ def lu_factor(a, piv):
     its row pivots in the int64 array ``piv``. Returns LAPACK's info: 0, or
     k > 0 when U[k-1, k-1] is exactly 0 (a singular matrix). Addresses are
     read at each call, so a copied array is never written through the
-    original's."""
+    original's. Without numpy's OpenBLAS it leaves ``a`` unfactored and
+    returns 0."""
     size, info = ctypes.c_int64(_check(a, piv)), ctypes.c_int64(0)
+    if dgetrf is None:
+        return 0
     dgetrf(size, size, a.ctypes.data, size, piv.ctypes.data, info)
     return info.value
 
 
 def lu_solve(a, piv, b):
     """The solution x of A x = b, in a new array, from the factors ``a`` and
-    pivots ``piv`` that lu_factor left."""
+    pivots ``piv`` that lu_factor left. Without numpy's OpenBLAS
+    np.linalg.solve solves ``a``, raising LinAlgError when it is singular."""
     n = _check(a, piv)
     x = np.array(b, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError("right-hand side must have length n")
+    if dgetrs is None:
+        return np.linalg.solve(a, x)
     size, one, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
     dgetrs(b"N", size, one, a.ctypes.data, size, piv.ctypes.data, x.ctypes.data, size, info, 1)
     return x

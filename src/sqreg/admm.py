@@ -50,7 +50,7 @@ def admm_z_update(Xb_new, u, spec, sigma):
     """Exact minimizer of the z block: P_{sigma^{-1}} f_tau (y - X beta - u/sigma),
     with Xb_new = X beta at the updated beta."""
     pr = spec.problem
-    return prox_check_loss(pr.response - Xb_new - u / sigma, sigma, pr.tau, pr.n)
+    return prox_check_loss(pr.response - Xb_new - u / sigma, sigma, spec.tau, pr.n)
 
 
 def dual_box_value(u, spec):
@@ -62,7 +62,7 @@ def dual_box_value(u, spec):
     is the objective minus it. The scale divides only where |X^T v| > omega,
     where the ratio is below 1, so a huge weight cannot overflow it."""
     pr = spec.problem
-    v = np.clip(u, (pr.tau - 1.0) / pr.n, pr.tau / pr.n)
+    v = np.clip(u, (spec.tau - 1.0) / pr.n, spec.tau / pr.n)
     xv = np.abs(pr.design.T @ v)
     over = xv > spec.weights
     v = v * float(np.min(spec.weights[over] / xv[over], initial=1.0))

@@ -170,9 +170,8 @@ def cmd_datagen(args):
     return 0
 
 
-def _subproblem_solve(problem, lam, solver):
-    weights = np.full(problem.p, lam)
-    spec = SubproblemSpec(problem=problem, weights=weights)
+def _subproblem_solve(problem, lam, tau, solver):
+    spec = SubproblemSpec(problem=problem, weights=np.full(problem.p, lam), tau=tau)
     state, report = (ppa_solve if solver == "pdsn" else admm_solve)(spec)
     return state.beta, report
 
@@ -182,12 +181,11 @@ def cmd_lambda_sweep(args):
     if not solvers or not set(solvers) <= {"pdsn", "admm"} or len(set(solvers)) < len(solvers):
         raise ValueError("--solvers takes a comma-separated subset of pdsn,admm, each named once")
     ds = generate(_synthetic_spec(args, args.seed))
-    problem = ds.problem.with_tau(args.tau)
-    lams = lambda_grid(problem, args.gamma_min, args.gamma_max, args.count)
+    lams = lambda_grid(ds.problem, args.gamma_min, args.gamma_max, args.count)
     rows = []
     for lam in lams:
         for solver in solvers:
-            beta, report = _subproblem_solve(problem, float(lam), solver)
+            beta, report = _subproblem_solve(ds.problem, float(lam), args.tau, solver)
             rows.append((float(lam), solver, report.objective, nonzero_count(beta), report.wall_ms))
     rows.sort(key=lambda r: (r[0], r[1]))
     text = "lambda,solver,objective,nnz,wall_ms\n" + "\n".join(

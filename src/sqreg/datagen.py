@@ -199,9 +199,8 @@ def _sigma_quad_form(beta, cov):
 def generate(spec):
     """Generate one dataset; bit-reproducible for a fixed spec.
 
-    Returns a SyntheticDataset whose problem carries tau = 0.5 (retarget with
-    ``problem.with_tau``). For SNR-calibrated specs the noise scale kappa
-    solves sqrt(beta^T Sigma beta) / (kappa sd(eps)) = snr.
+    Returns a SyntheticDataset. For SNR-calibrated specs the noise scale
+    kappa solves sqrt(beta^T Sigma beta) / (kappa sd(eps)) = snr.
     """
     gen = _generator(spec.seed)
     beta = _beta_pattern(gen, spec.beta_pattern, spec.p)
@@ -224,7 +223,7 @@ def generate(spec):
         if spec.snr is not None and not np.all(np.isfinite(y)):
             raise ValueError(f"snr {spec.snr!r} is too small: the noise scale kappa "
                              "overflows the response")
-    problem = QuantileProblem(X, y, tau=0.5)
+    problem = QuantileProblem(X, y)
     return SyntheticDataset(problem=problem, beta_true=beta)
 
 

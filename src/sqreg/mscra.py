@@ -112,6 +112,7 @@ def lambda_grid(problem, gamma_min, gamma_max, count):
 def mscra_fit(problem, cfg):
     """Run the multi-stage relaxation; returns (final StageState, history).
 
+    Every stage solves at the quantile level cfg.tau, on ``problem`` itself.
     Stage weights fed to the solver are lambda (1 - w^{k-1}), zero for an
     intercept column; the configured solver is warm started at the previous
     stage's beta and multiplier u. A solver's SolverError is raised again
@@ -121,22 +122,18 @@ def mscra_fit(problem, cfg):
     ``converged`` is the verdict: a stop rule ended the fit, not MAX_STAGES,
     its Err_k <= STAGE_TOL, and every stage's solver converged.
     """
-    problem = problem.with_tau(cfg.tau)
-
-    def stage_weights(w):
+    def stage_spec(w, beta):
         omega = cfg.lam * (1.0 - w)
         if problem.intercept_column:
             omega[0] = 0.0
-        return omega
+        return SubproblemSpec(problem=problem, weights=omega, anchor=beta, tau=cfg.tau)
 
-    omega = stage_weights(np.zeros(problem.p))
-    beta = np.zeros(problem.p)
+    spec = stage_spec(np.zeros(problem.p), None)
     rho = 1.0
     u = None
     history = []
     reason = "max_stages"
     for k in range(1, MAX_STAGES + 1):
-        spec = SubproblemSpec(problem=problem, weights=omega, anchor=beta)
         try:
             state, report = (ppa_solve if cfg.solver == "pdsn" else admm_solve)(spec, u0=u)
         except SolverError as exc:
@@ -144,8 +141,8 @@ def mscra_fit(problem, cfg):
         beta, u = state.beta, state.u
         rho, degenerate = rho_schedule(k, beta, rho)
         w = np.asarray(cfg.surrogate.w_update(rho, np.abs(beta)), dtype=float)
-        omega = stage_weights(w)  # the next stage's weights
-        err_k = stage_kkt_residual(problem, beta, u, omega)
+        spec = stage_spec(w, beta)  # the next stage's subproblem
+        err_k = stage_kkt_residual(spec, beta, u)
         stage = StageState(k=k, beta=beta, w=w, rho=rho, err_k=err_k, nnz=nonzero_count(beta),
                            solver_report=report)
         history.append(stage)

@@ -41,14 +41,19 @@ NEWTON_MU = 1e-5  # regularization mu I of the Newton matrix
 
 @dataclass
 class SubproblemSpec:
-    """One weighted-l1 subproblem: data, weights (finite and nonnegative)
-    and the solvers' finite start point ``anchor`` (default 0)."""
+    """One weighted-l1 subproblem: data, weights (finite and nonnegative),
+    the solvers' finite start point ``anchor`` (default 0) and the quantile
+    level ``tau`` in (0, 1) of its check loss."""
 
     problem: object
     weights: np.ndarray
     anchor: np.ndarray = None
+    tau: float = 0.5
 
     def __post_init__(self):
+        self.tau = float(self.tau)
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError("tau must be in (0,1)")
         p = self.problem.p
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (p,):
@@ -68,24 +73,25 @@ class SubproblemSpec:
         pr = self.problem
         if z is None:
             z = pr.response - pr.design @ beta
-        return check_loss(z, pr.tau) + float(np.sum(self.weights * np.abs(beta)))
+        return check_loss(z, self.tau) + float(np.sum(self.weights * np.abs(beta)))
 
 
-def kkt_residual(problem, beta, u, weights):
-    """Relative KKT residual at (beta, u) of
+def kkt_residual(spec, beta, u):
+    """Relative KKT residual at (beta, u) of the subproblem ``spec``,
 
-        min f_tau(y - X beta) + sum_i weights_i |beta_i|.
+        min f_tau(y - X beta) + sum_i omega_i |beta_i|.
 
     Zero exactly when u is a check-loss subgradient at z = y - X beta and
     X^T u is a weighted-l1 subgradient at beta. The weighted-l1 block uses
     the Moreau-complement form beta - P_1 h(beta + X^T u).
     """
-    z = problem.response - problem.design @ beta
-    v = beta + problem.design.T @ u
-    b1 = z - prox_check_loss(z + u, 1.0, problem.tau, problem.n)
-    b2 = beta - prox_weighted_l1(v, weights, 1.0)
+    pr = spec.problem
+    z = pr.response - pr.design @ beta
+    v = beta + pr.design.T @ u
+    b1 = z - prox_check_loss(z + u, 1.0, spec.tau, pr.n)
+    b2 = beta - prox_weighted_l1(v, spec.weights, 1.0)
     num = np.sqrt(np.sum(b1**2) + np.sum(b2**2))
-    return float(num / (1.0 + np.linalg.norm(problem.response)))
+    return float(num / (1.0 + np.linalg.norm(pr.response)))
 
 
 class _DualWork:
@@ -105,7 +111,7 @@ class _DualWork:
         self.X = pr.design
         self.y = pr.response
         self.n, self.p = pr.n, pr.p
-        self.tau = pr.tau
+        self.tau = spec.tau
         self.omega = spec.weights
         # stacked: the anchors (z^j; beta^j) and clip bounds of the prox
         # arguments, and the prox arguments q, their clips and images
@@ -216,9 +222,8 @@ class _DualWork:
         last matrix it factored, W0 / gamma with diag(W0 / gamma) + dvec on
         its diagonal, and factors anew only when W0, gamma or a bit of that
         diagonal changed. Each entry gets the floating-point operations of a
-        fresh assembly, and dgetrf + dgetrs of numpy's OpenBLAS give
-        np.linalg.solve's bits. Without that library, np.linalg.solve solves
-        the assembled matrix. A singular matrix raises SolverError.
+        fresh assembly, and ``_openblas`` gives np.linalg.solve's bits. A
+        singular matrix raises SolverError.
         """
         dvec = (self.pz != 0.0) / self.g + NEWTON_MU
         mask = self.pb != 0.0
@@ -256,15 +261,13 @@ class _DualWork:
             # fills the column-major buffer with the same values
             np.divide(self.W0.T, self.g, out=self.lu)
             self.lu.flat[:: n + 1] = diag
-            if _openblas.dgetrf is not None and _openblas.lu_factor(self.lu, self.piv):
+            if _openblas.lu_factor(self.lu, self.piv):
                 raise SolverError("singular Newton matrix")
             self.lu_gamma, self.diag = self.g, diag
-        if _openblas.dgetrf is None:
-            try:
-                return np.linalg.solve(self.lu, rhs)
-            except np.linalg.LinAlgError:
-                raise SolverError("singular Newton matrix") from None
-        return _openblas.lu_solve(self.lu, self.piv, rhs)
+        try:
+            return _openblas.lu_solve(self.lu, self.piv, rhs)
+        except np.linalg.LinAlgError:  # np.linalg.solve, without numpy's OpenBLAS
+            raise SolverError("singular Newton matrix") from None
 
 
 def _strong_wolfe(ev, psi0, dpsi0):
@@ -366,7 +369,7 @@ def ppa_solve(spec, u0=None):
 
     Parameters
     ----------
-    spec : SubproblemSpec with the data, weights and warm-start anchor.
+    spec : SubproblemSpec with the data, weights, warm-start anchor and tau.
     u0 : optional warm-start multiplier in the KKT orientation
         (u in the subgradient of f_tau at z = y - X beta), as SolveState.u
         holds it.
@@ -384,13 +387,13 @@ def ppa_solve(spec, u0=None):
     pr = spec.problem
     t0 = time.perf_counter()
     X = pr.design
-    u_zero = np.where(pr.response > 0, pr.tau, pr.tau - 1.0) / pr.n
+    u_zero = np.where(pr.response > 0, spec.tau, spec.tau - 1.0) / pr.n
     if np.all(np.abs(X.T @ u_zero) <= spec.weights):
         beta, u_kkt = np.zeros(pr.p), u_zero
     else:
         beta = np.asarray(spec.anchor, dtype=float).copy()
         u_kkt = np.zeros(pr.n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    err = kkt_residual(pr, beta, u_kkt, spec.weights)
+    err = kkt_residual(spec, beta, u_kkt)
     gamma = max(min(0.1, err), GAMMA_FLOOR)
     eps = EPS_PPA_0
     u_psi = -u_kkt
@@ -425,7 +428,7 @@ def ppa_solve(spec, u0=None):
         beta = beta_new
         cur_obj = new_obj
         u_kkt = -u_psi
-        err = kkt_residual(pr, beta, u_kkt, spec.weights)
+        err = kkt_residual(spec, beta, u_kkt)
         if err <= eps:
             converged = True
             break

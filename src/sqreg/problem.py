@@ -1,4 +1,4 @@
-"""Estimation instances, check loss, matrix norms, standardization, CSV input."""
+"""Estimation data, check loss, matrix norms, standardization, CSV input."""
 
 import csv
 import io
@@ -6,7 +6,7 @@ import warnings
 from functools import cached_property
 
 import numpy as np
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 
 POWER_REL_TOL = 1e-8    # power iteration stops at this relative change
 POWER_MAX_ITERS = 500   # power iteration sweeps at most
@@ -21,14 +21,14 @@ def _frozen_array(a, dtype=float):
 
 @dataclass(frozen=True)
 class QuantileProblem:
-    """A quantile-regression instance: design matrix, response, quantile level.
+    """The data of a quantile regression: design matrix and response. The
+    quantile level is the solve's (``SubproblemSpec.tau``, ``MscraConfig.tau``).
 
     Parameters
     ----------
     design : (n, p) array, one sample per row.
     response : length-n array.
-    tau : quantile level in (0, 1).
-    intercept_column : True when column 0 of ``design`` is the all-ones column.
+    intercept_column : (keyword) True when column 0 of ``design`` is all ones.
 
     Instances are immutable (arrays are marked read-only) and safe to share
     across concurrent solver runs; ``norms`` caches the design's norms. The
@@ -38,7 +38,7 @@ class QuantileProblem:
 
     design: np.ndarray
     response: np.ndarray
-    tau: float
+    _: KW_ONLY
     intercept_column: bool = False
 
     def __post_init__(self):
@@ -52,8 +52,6 @@ class QuantileProblem:
             raise ValueError("design contains non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("response contains non-finite entries")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must be in (0,1)")
         if self.intercept_column and not np.all(X[:, 0] == 1.0):
             raise ValueError("intercept_column is set but column 0 is not all ones")
         object.__setattr__(self, "design", X)
@@ -72,10 +70,6 @@ class QuantileProblem:
         """MatrixNorms of the design, built once per instance; the spectral
         norm's power iteration runs on its first read."""
         return MatrixNorms(self.design)
-
-    def with_tau(self, tau):
-        """Same data at a different quantile level."""
-        return replace(self, tau=float(tau))
 
 
 class MatrixNorms:
@@ -166,7 +160,7 @@ def standardize(problem):
     if bad.size:
         raise ValueError(f"column {bad[0] + start} has zero sample standard deviation")
     X[:, start:] = (cols - mean) / sd
-    return QuantileProblem(X, problem.response, problem.tau, problem.intercept_column)
+    return QuantileProblem(X, problem.response, intercept_column=problem.intercept_column)
 
 
 def _raise_first_bad_row(raw_rows):
@@ -229,7 +223,6 @@ def _read_rows_csv(raw, has_header):
 def load_csv(path, has_header=False, add_intercept=False):
     """Load a problem from CSV: one sample per row, response in the last column.
 
-    Returns a QuantileProblem with tau = 0.5 (retarget with ``with_tau``).
     Malformed rows raise ValueError naming the 1-based data row.
 
     numpy's C reader parses the file first. It converts each field with the
@@ -252,7 +245,7 @@ def load_csv(path, has_header=False, add_intercept=False):
     X, y = data[:, :-1], data[:, -1]
     if add_intercept:
         X = np.hstack([np.ones((X.shape[0], 1)), X])
-    return QuantileProblem(X, y, tau=0.5, intercept_column=add_intercept)
+    return QuantileProblem(X, y, intercept_column=add_intercept)
 
 
 def support_mask(beta):

@@ -83,8 +83,8 @@ def test_c2_dual_gradient():
         beta = np.zeros(50)
         beta[rng.choice(50, 4, replace=False)] = rng.standard_normal(4)
         y = X @ beta + 0.2 * rng.standard_normal(20)
-        pr = QuantileProblem(X, y, tau=float(rng.uniform(0.2, 0.8)))
-        spec = SubproblemSpec(problem=pr, weights=rng.uniform(0.0, 0.3, 50))
+        tau = float(rng.uniform(0.2, 0.8))
+        spec = SubproblemSpec(problem=QuantileProblem(X, y), weights=rng.uniform(0.0, 0.3, 50), tau=tau)
         anchor = 0.1 * rng.standard_normal(50)
         works = [_DualWork(spec, anchor, gamma) for gamma in (0.06, 0.03)]
         for _ in range(10):
@@ -208,7 +208,7 @@ def test_c6_mm_monotonicity(monkeypatch):
         idx = rng.choice(100, 5, replace=False)
         beta[idx] = rng.standard_normal(5) + np.sign(rng.standard_normal(5))
         y = X @ beta + 0.3 * rng.standard_normal(50)
-        pr = QuantileProblem(X, y, tau=0.5)
+        pr = QuantileProblem(X, y)
         cfg = MscraConfig(tau=0.5, lam=lam, surrogate=fam)
         _, hist = mscra_fit(pr, cfg)
         vals = [check_loss(y - X @ s.beta, 0.5) + np.sum(fam.h_rho(rho, s.beta)) / nu for s in hist]

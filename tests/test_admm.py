@@ -55,8 +55,8 @@ def test_beta_update_total_shrinkage(rng):
 
 def test_beta_update_is_block_minimizer(rng):
     # 1-d instance: grid-min oracle of the beta-block objective
-    pr = QuantileProblem(np.array([[1.3]]), np.array([0.7]), tau=0.4)
-    spec = SubproblemSpec(problem=pr, weights=np.array([0.3]))
+    pr = QuantileProblem(np.array([[1.3]]), np.array([0.7]))
+    spec = SubproblemSpec(problem=pr, weights=np.array([0.3]), tau=0.4)
     sigma = 1.2
     gamma = sigma * 1.3**2
     beta = np.array([0.4])
@@ -75,7 +75,7 @@ def test_beta_update_is_block_minimizer(rng):
 def test_z_update(rng):
     spec, _ = make_subproblem(3, 6, 4, lam=0.1)
     z = admm_z_update(spec.problem.design @ np.zeros(4), np.zeros(6), spec, 2.0)
-    expect = prox_check_loss(spec.problem.response, 2.0, spec.problem.tau, 6)
+    expect = prox_check_loss(spec.problem.response, 2.0, spec.tau, 6)
     assert np.allclose(z, expect)
 
 
@@ -85,7 +85,7 @@ def test_admm_feasible_unpenalized(monkeypatch):
     n, p = 12, 24
     X = rng.standard_normal((n, p))
     y = X @ rng.standard_normal(p)
-    pr = QuantileProblem(X, y, tau=0.5)
+    pr = QuantileProblem(X, y)
     spec = SubproblemSpec(problem=pr, weights=np.zeros(p))
     state, report = admm_solve(spec)
     assert report.objective <= 1e-5
@@ -140,7 +140,7 @@ def test_weak_duality_along_iterates(monkeypatch):
 def test_dual_box_value_huge_weights_without_overflow():
     # weights / |X^T v| would overflow where |X^T v| is tiny; only the
     # entries with |X^T v| > weights are divided
-    pr = QuantileProblem(np.array([[1e-10, 1.0], [2e-10, -1.0]]), np.array([1.0, -2.0]), tau=0.5)
+    pr = QuantileProblem(np.array([[1e-10, 1.0], [2e-10, -1.0]]), np.array([1.0, -2.0]))
     spec = SubproblemSpec(problem=pr, weights=np.array([1e308, 0.1]))
     u = np.array([0.25, -0.25])
     with warnings.catch_warnings():

@@ -15,7 +15,7 @@ from conftest import make_problem
 BOUND = 1e-6  # largest allowed |beta' - P beta| per coefficient
 
 problems = st.builds(
-    lambda seed, n, p, tau: (make_problem(seed, n, p, tau=tau)[0], np.random.default_rng(seed + 1)),
+    lambda seed, n, p, tau: (make_problem(seed, n, p)[0], tau, np.random.default_rng(seed + 1)),
     seed=st.integers(0, 2**32 - 2), n=st.integers(20, 119), p=st.integers(10, 199),
     tau=st.floats(0.1, 0.9))
 
@@ -25,11 +25,11 @@ def weights(problem, rng):
 
 
 def solve(X, y, tau, w):
-    return ppa_solve(SubproblemSpec(problem=QuantileProblem(X, y, tau=tau), weights=w))[0].beta
+    return ppa_solve(SubproblemSpec(problem=QuantileProblem(X, y), weights=w, tau=tau))[0].beta
 
 
 def fit(X, y, tau, lam):
-    return mscra_fit(QuantileProblem(X, y, tau=tau), MscraConfig(tau=tau, lam=lam))[0].beta
+    return mscra_fit(QuantileProblem(X, y), MscraConfig(tau=tau, lam=lam))[0].beta
 
 
 def default_lambda(problem):
@@ -45,46 +45,46 @@ def assert_close(got, want):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(case=problems)
 def test_ppa_reflection_negates_beta(case):
-    pr, rng = case
+    pr, tau, rng = case
     w = weights(pr, rng)
-    beta = solve(pr.design, pr.response, pr.tau, w)
-    assert_close(solve(pr.design, -pr.response, 1.0 - pr.tau, w), -beta)
+    beta = solve(pr.design, pr.response, tau, w)
+    assert_close(solve(pr.design, -pr.response, 1.0 - tau, w), -beta)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(case=problems)
 def test_ppa_column_permutation_permutes_beta(case):
-    pr, rng = case
+    pr, tau, rng = case
     w, perm = weights(pr, rng), rng.permutation(pr.p)
-    beta = solve(pr.design, pr.response, pr.tau, w)
-    assert_close(solve(pr.design[:, perm], pr.response, pr.tau, w[perm]), beta[perm])
+    beta = solve(pr.design, pr.response, tau, w)
+    assert_close(solve(pr.design[:, perm], pr.response, tau, w[perm]), beta[perm])
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(case=problems)
 def test_ppa_row_permutation_keeps_beta(case):
-    pr, rng = case
+    pr, tau, rng = case
     w, perm = weights(pr, rng), rng.permutation(pr.n)
-    beta = solve(pr.design, pr.response, pr.tau, w)
-    assert_close(solve(pr.design[perm], pr.response[perm], pr.tau, w), beta)
+    beta = solve(pr.design, pr.response, tau, w)
+    assert_close(solve(pr.design[perm], pr.response[perm], tau, w), beta)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(case=problems)
 def test_mscra_column_permutation_permutes_beta(case):
-    pr, rng = case
+    pr, tau, rng = case
     perm, lam = rng.permutation(pr.p), default_lambda(pr)
-    beta = fit(pr.design, pr.response, pr.tau, lam)
-    assert_close(fit(pr.design[:, perm], pr.response, pr.tau, lam), beta[perm])
+    beta = fit(pr.design, pr.response, tau, lam)
+    assert_close(fit(pr.design[:, perm], pr.response, tau, lam), beta[perm])
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(case=problems)
 def test_mscra_reflection_negates_beta(case):
-    pr, rng = case
+    pr, tau, rng = case
     lam = default_lambda(pr)
-    beta = fit(pr.design, pr.response, pr.tau, lam)
-    assert_close(fit(pr.design, -pr.response, 1.0 - pr.tau, lam), -beta)
+    beta = fit(pr.design, pr.response, tau, lam)
+    assert_close(fit(pr.design, -pr.response, 1.0 - tau, lam), -beta)
 
 
 def test_design_memory_order_changes_no_bit():
@@ -92,10 +92,10 @@ def test_design_memory_order_changes_no_bit():
     # one's pairwise; the problem stores its design C-ordered, so the column
     # sums, the default lambda and the fit are the same to the bit
     pr = make_problem(247, 106, 187)[0]
-    fortran = QuantileProblem(np.asfortranarray(pr.design), pr.response, tau=pr.tau)
+    fortran = QuantileProblem(np.asfortranarray(pr.design), pr.response)
     assert fortran.design.flags.c_contiguous
     assert pr.norms.col_sum.hex() == fortran.norms.col_sum.hex()
     lam = default_lambda(pr)
     assert lam.hex() == default_lambda(fortran).hex()
-    hexes = [[float(v).hex() for v in fit(p.design, p.response, p.tau, lam)] for p in (pr, fortran)]
+    hexes = [[float(v).hex() for v in fit(p.design, p.response, 0.5, lam)] for p in (pr, fortran)]
     assert hexes[0] == hexes[1]

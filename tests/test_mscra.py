@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,26 @@ def test_stage1_weights_are_lambda(monkeypatch):
     assert np.allclose(seen["w"][0], 0.2)  # w0 = 0 so stage-1 weights are lambda e
 
 
+@pytest.mark.parametrize("solver", ["pdsn", "admm"])
+def test_every_stage_solves_the_callers_problem_at_cfg_tau(monkeypatch, solver):
+    # a fit neither copies the problem nor reads a quantile level off it:
+    # each stage's spec holds the caller's instance and cfg.tau
+    problem, _ = make_problem(3, 20, 10, sparsity=2)
+    seen = []
+    name = "ppa_solve" if solver == "pdsn" else "admm_solve"
+    orig = getattr(mscra, name)
+
+    def spy(spec, u0=None):
+        seen.append((spec.problem, spec.tau))
+        return orig(spec, u0=u0)
+
+    monkeypatch.setattr(mscra, name, spy)
+    monkeypatch.setattr(mscra, "MAX_STAGES", 3)
+    mscra_fit(problem, MscraConfig(tau=0.3, lam=0.2, solver=solver))
+    assert len(seen) == 3
+    assert all(pr is problem and tau == 0.3 for pr, tau in seen)
+
+
 def test_rho_schedule_values():
     assert rho_schedule(1, np.array([0.1]), 1.0) == (pytest.approx(10.0 / 3.0), False)
     assert rho_schedule(1, np.array([2.0]), 1.0) == (1.0, False)
@@ -118,13 +141,13 @@ def test_stage_kkt_residual_constructed_zero():
     beta = np.array([2.0, 1.0, 3.0])
     z = np.array([1.0, 2.0, 0.5])
     y = beta + z
-    pr = QuantileProblem(X, y, tau=tau)
     u = np.full(n, tau / n)
     w = np.full(n, tau / n)  # weights equal to X^T u at positive beta
-    assert stage_kkt_residual(pr, beta, u, w) <= 1e-14
+    spec = SubproblemSpec(problem=QuantileProblem(X, y), weights=w, tau=tau)
+    assert stage_kkt_residual(spec, beta, u) <= 1e-14
     # Lipschitz response to a multiplier perturbation
     eps = 1e-3
-    r = stage_kkt_residual(pr, beta, u + eps, w)
+    r = stage_kkt_residual(spec, beta, u + eps)
     assert r <= 2 * eps * np.sqrt(n) / (1 + np.linalg.norm(y)) + 1e-12
 
 
@@ -142,7 +165,7 @@ def test_solvers_share_the_multiplier_contract(solve):
     spec, _ = make_subproblem(8, 25, 10, lam=0.3)
     state, report = solve(spec)
     assert report.converged
-    assert kkt_residual(spec.problem, state.beta, state.u, spec.weights) <= 1e-5
+    assert kkt_residual(spec, state.beta, state.u) <= 1e-5
     assert dual_box_value(state.u, spec) == pytest.approx(report.objective, rel=1e-5)
     warm = SubproblemSpec(problem=spec.problem, weights=spec.weights, anchor=state.beta)
     warm_state, warm_report = solve(warm, u0=state.u)
@@ -172,10 +195,10 @@ def test_lambda_grid():
     scale = matrix_norms(problem.design).col_sum / problem.n
     assert g2[0] == pytest.approx(max(0.01, 0.02 * scale))
     assert g2[-1] == pytest.approx(max(0.01, 0.25 * scale))
-    tiny = QuantileProblem(np.full((4, 2), 1e-6), np.zeros(4), tau=0.5)
+    tiny = QuantileProblem(np.full((4, 2), 1e-6), np.zeros(4))
     assert np.all(lambda_grid(tiny, 0.02, 0.25, 5) == 0.01)
     # a grid with a non-finite lambda is an input error, not a solver failure
-    big = QuantileProblem(np.full((2, 3), 10.0), np.ones(2), tau=0.5)
+    big = QuantileProblem(np.full((2, 3), 10.0), np.ones(2))
     assert lambda_grid(big, 0.1, 1e307, 3)[-1] == 1e308
     for gamma_max in (float("inf"), 1e308):  # 1e308 * ||X||_1 / n overflows
         with pytest.raises(ValueError):
@@ -238,17 +261,17 @@ def test_intercept_unpenalized():
     n, p = 60, 8
     X = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p - 1))])
     y = 5.0 + X[:, 1] - 2 * X[:, 2] + 0.1 * rng.standard_normal(n)
-    pr = QuantileProblem(X, y, tau=0.5, intercept_column=True)
+    pr = QuantileProblem(X, y, intercept_column=True)
     final, _ = mscra_fit(pr, MscraConfig(tau=0.5, lam=0.3))
     assert abs(final.beta[0]) > 1.0  # intercept survives heavy penalization
     # the same data with column 0 as an ordinary, penalized covariate
-    penalized, _ = mscra_fit(QuantileProblem(X, y, tau=0.5), MscraConfig(tau=0.5, lam=0.3))
+    penalized, _ = mscra_fit(QuantileProblem(X, y), MscraConfig(tau=0.5, lam=0.3))
     assert abs(penalized.beta[0]) < abs(final.beta[0]) + 1e-9
 
 
 def test_zero_response_gives_zero_fit():
     rng = np.random.default_rng(14)
-    pr = QuantileProblem(rng.standard_normal((20, 8)), np.zeros(20), tau=0.5)
+    pr = QuantileProblem(rng.standard_normal((20, 8)), np.zeros(20))
     final, _ = mscra_fit(pr, MscraConfig(tau=0.5, lam=0.1))
     assert np.all(final.beta == 0.0)
     assert final.err_k <= 1e-10
@@ -266,7 +289,7 @@ def test_single_feature_problem():
     rng = np.random.default_rng(16)
     x = rng.standard_normal((40, 1))
     y = 1.7 * x[:, 0] + 0.05 * rng.standard_normal(40)
-    pr = QuantileProblem(x, y, tau=0.5)
+    pr = QuantileProblem(x, y)
     final, _ = mscra_fit(pr, MscraConfig(tau=0.5, lam=0.05))
     assert final.beta[0] == pytest.approx(1.7, abs=0.1)
 
@@ -277,3 +300,12 @@ def test_stage_records():
     rec = history[0].record()
     assert set(rec) == {"k", "nnz", "err_k", "rho", "solver_iters", "wall_ms"}
     assert rec["k"] == 1 and rec["wall_ms"] >= 0.0
+
+
+def test_readme_library_use_block_runs(capsys):
+    # the README's "Library use" block runs as printed, with the output its
+    # comment shows
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md (Library use)", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "True [0 1]"

@@ -47,9 +47,10 @@ def phi(work, u):
     return work.gradient_here()[0]
 
 
-def lp_oracle(problem, weights):
+def lp_oracle(spec):
     """Optimum of the weighted-l1 check-loss objective via the equivalent LP."""
-    X, y, tau, n, p = problem.design, problem.response, problem.tau, problem.n, problem.p
+    pr, weights, tau = spec.problem, spec.weights, spec.tau
+    X, y, n, p = pr.design, pr.response, pr.n, pr.p
     c = np.concatenate([weights, weights, np.full(n, tau / n), np.full(n, (1 - tau) / n)])
     A_eq = np.hstack([X, -X, np.eye(n), -np.eye(n)])
     res = linprog(c, A_eq=A_eq, b_eq=y, bounds=(0, None), method="highs")
@@ -76,7 +77,7 @@ def test_dual_gradient_finite_difference(rng):
 
 def test_dual_residual_trivial_instance():
     # n=p=1, X=1, y=0, weights 0, anchors 0: Phi(0) = 0
-    pr = QuantileProblem(np.array([[1.0]]), np.array([0.0]), tau=0.5)
+    pr = QuantileProblem(np.array([[1.0]]), np.array([0.0]))
     spec = SubproblemSpec(problem=pr, weights=np.zeros(1))
     work = make_work(spec, gamma=1.0)
     assert phi(work, np.zeros(1))[0] == pytest.approx(0.0, abs=1e-15)
@@ -115,7 +116,7 @@ def test_line_evaluator_bit_identical(rng):
     y = X[:, :4] @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 * rng.standard_normal(n)
     weights = np.full(p, 0.05)
     weights[[0, 3]] = 0.0
-    spec = SubproblemSpec(problem=QuantileProblem(X, y, tau=0.3), weights=weights)
+    spec = SubproblemSpec(problem=QuantileProblem(X, y), weights=weights, tau=0.3)
     beta = 0.2 * rng.standard_normal(p)
     beta[3] = -0.0
     u, d = 0.05 * rng.standard_normal(n), rng.standard_normal(n)
@@ -176,7 +177,7 @@ def test_newton_matrix_structure(rng):
 
 
 def test_newton_matrix_empty_active_set():
-    pr = QuantileProblem(np.eye(3), np.array([5.0, -4.0, 3.0]), tau=0.5)
+    pr = QuantileProblem(np.eye(3), np.array([5.0, -4.0, 3.0]))
     spec = SubproblemSpec(problem=pr, weights=np.full(3, 1e3))
     work = make_work(spec, gamma=1.0)
     work.value(np.zeros(6))
@@ -328,14 +329,14 @@ def test_newton_factors_refresh_when_the_diagonal_hides_a_change():
     beta = np.array([1.0, 0.0])  # J = {0} at u = 0, weights 0
     # a new gamma: the one active column is tiny
     X = np.array([[1e-12, 0.0], [1e-12, 0.0], [0.0, 0.0]])
-    pr = QuantileProblem(X, X @ beta, tau=0.5)  # z^j = 0: every residual in the box
+    pr = QuantileProblem(X, X @ beta)  # z^j = 0: every residual in the box
     work = make_work(SubproblemSpec(problem=pr, weights=np.zeros(2)), beta, gamma=0.1)
     diag = direction(work, np.zeros(3))
     work.anchor(beta, 0.05)
     assert np.array_equal(direction(work, np.zeros(3)), diag)
     # a rank update: column 1, tiny, joins J where W0 was 0
     X = np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 1e-12]])
-    pr = QuantileProblem(X, X @ beta, tau=0.5)
+    pr = QuantileProblem(X, X @ beta)
     work = make_work(SubproblemSpec(problem=pr, weights=np.zeros(2)), beta, gamma=0.1)
     diag = direction(work, np.zeros(3))
     W0 = work.W0
@@ -383,7 +384,7 @@ def test_newton_fast_on_smooth_instance(monkeypatch):
     n, p = 6, 4
     X = rng.standard_normal((n, p))
     y = 10.0 + rng.standard_normal(n)
-    pr = QuantileProblem(X, y, tau=0.5)
+    pr = QuantileProblem(X, y)
     spec = SubproblemSpec(problem=pr, weights=np.full(p, 1e-4))
     work = make_work(spec, gamma=1.0)
     u, info = _newton_solve(work, np.zeros(n), 1e-9)
@@ -436,7 +437,7 @@ def test_ppa_interpolating_fit():
     n, p = 10, 20
     X = rng.standard_normal((n, p))
     y = X @ rng.standard_normal(p)
-    pr = QuantileProblem(X, y, tau=0.5)
+    pr = QuantileProblem(X, y)
     spec = SubproblemSpec(problem=pr, weights=np.zeros(p))
     state, report = ppa_solve(spec)
     assert report.converged
@@ -449,7 +450,7 @@ def test_ppa_matches_lp_oracle():
         weights = np.full(15, 0.08)
         spec = SubproblemSpec(problem=problem, weights=weights)
         state, report = ppa_solve(spec)
-        opt = lp_oracle(problem, weights)
+        opt = lp_oracle(spec)
         assert report.objective == pytest.approx(opt, rel=1e-6)
 
 
@@ -458,7 +459,7 @@ def test_ppa_larger_instance_lp_oracle():
     weights = np.full(50, 0.05)
     spec = SubproblemSpec(problem=problem, weights=weights)
     state, report = ppa_solve(spec)
-    opt = lp_oracle(problem, weights)
+    opt = lp_oracle(spec)
     assert report.objective == pytest.approx(opt, rel=1e-6)
     assert report.residuals["err_ppa"] <= 1e-8
 
@@ -469,9 +470,9 @@ def test_ppa_objective_monotone_trace(monkeypatch):
     spec, _ = make_subproblem(31, 30, 60, lam=0.1)
     tr = []
 
-    def recording(problem, beta, u, weights):
+    def recording(spec, beta, u):
         tr.append(spec.objective(beta))
-        return kkt_residual(problem, beta, u, weights)
+        return kkt_residual(spec, beta, u)
 
     monkeypatch.setattr(pdsn, "kkt_residual", recording)
     state, report = ppa_solve(spec)
@@ -487,13 +488,13 @@ def test_kkt_residual_zero_at_constructed_point():
     beta = np.array([1.0, 2.0, 0.5, 3.0])
     z = np.array([1.0, 0.5, 2.0, 1.5])
     y = X @ beta + z
-    pr = QuantileProblem(X, y, tau=tau)
     u = np.full(n, tau / n)  # z > 0 componentwise
     weights = np.full(n, tau / n)  # X^T u = omega at beta > 0
-    assert kkt_residual(pr, beta, u, weights) <= 1e-14
+    spec = SubproblemSpec(problem=QuantileProblem(X, y), weights=weights, tau=tau)
+    assert kkt_residual(spec, beta, u) <= 1e-14
     # with its signs flipped, beta leaves the optimal set: X^T u is no
     # weighted-l1 subgradient there (beta + 0.1 still has one, and is optimal)
-    assert kkt_residual(pr, -beta, u, weights) > 1e-3
+    assert kkt_residual(spec, -beta, u) > 1e-3
 
 
 @settings(max_examples=200, deadline=None)
@@ -513,14 +514,14 @@ def test_kkt_residual_zero_at_random_kkt_triples(n, tau, seed):
     active = rng.random(n) < 0.5
     beta = np.where(active, np.sign(g) * rng.uniform(0.1, 5.0, n), 0.0)
     weights = np.abs(g) + np.where(active, 0.0, rng.uniform(0.0, 0.3, n))
-    pr = QuantileProblem(X, X @ beta + z, tau=tau)
-    assert kkt_residual(pr, beta, u, weights) <= 1e-12
+    spec = SubproblemSpec(problem=QuantileProblem(X, X @ beta + z), weights=weights, tau=tau)
+    assert kkt_residual(spec, beta, u) <= 1e-12
     # one u_i pushed 1/n past the far end of [lo, hi]: it leaves the
     # check-loss subgradient by at least half the interval's width
     i = rng.integers(n)
     e = np.zeros(n)
     e[i] = 1.0 / n if u[i] >= 0.5 * (lo + hi) else -1.0 / n
-    assert kkt_residual(pr, beta, u + e, weights) > 1e-6
+    assert kkt_residual(spec, beta, u + e) > 1e-6
 
 
 @settings(max_examples=200, deadline=None)
@@ -537,21 +538,21 @@ def test_ppa_zero_certificate(n, p, tau, seed):
         return np.abs(X.T @ (np.where(y > 0, tau, tau - 1.0) / n))
 
     y = rng.standard_normal(n) * (rng.random(n) < 0.8)  # zeros too: u0_i = (tau - 1)/n
-    pr = QuantileProblem(X, y, tau=tau)
+    pr = QuantileProblem(X, y)
     g = zero_gradient(y)
     weights = g + np.where(rng.random(p) < 0.5, 0.0, rng.uniform(0.0, 0.3, p))
-    spec = SubproblemSpec(problem=pr, weights=weights, anchor=rng.standard_normal(p))
+    spec = SubproblemSpec(problem=pr, weights=weights, anchor=rng.standard_normal(p), tau=tau)
     state, report = ppa_solve(spec, u0=rng.standard_normal(n))
     assert np.all(state.beta == 0.0)
     assert (report.iterations, report.inner_iterations, report.converged) == (0, 0, True)
-    assert kkt_residual(pr, state.beta, state.u, weights) <= 1e-12
+    assert kkt_residual(spec, state.beta, state.u) <= 1e-12
     # half those weights: no response is 0, so u0 is the only subgradient
     # at z = y and beta = 0 is not optimal once some |X^T u0|_j > 0
     y = np.where(y == 0.0, 1.0, y)
-    pr = QuantileProblem(X, y, tau=tau)
+    pr = QuantileProblem(X, y)
     g = zero_gradient(y)
     assume(np.max(g) > 1e-3)
-    state, report = ppa_solve(SubproblemSpec(problem=pr, weights=0.5 * g))
+    state, report = ppa_solve(SubproblemSpec(problem=pr, weights=0.5 * g, tau=tau))
     assert report.iterations >= 1
     assert np.any(state.beta != 0.0)
 
@@ -566,27 +567,29 @@ def _bad_spec(case):
     elif case == "non-finite anchor":
         anchor = np.zeros(30)
         anchor[[1, 4]] = np.inf, np.nan
-    else:
+    elif case == "anchor of length p - 1":
         anchor = np.zeros(29)
+    else:
+        return dict(problem=problem, weights=weights, tau=float(case.split()[1]))
     return dict(problem=problem, weights=weights, anchor=anchor)
 
 
 @pytest.mark.parametrize("case", ["nan weight", "+inf weights", "non-finite anchor",
-                                  "anchor of length p - 1"])
+                                  "anchor of length p - 1", "tau 1.5", "tau 0", "tau nan"])
 def test_spec_rejects_bad_input(case):
     # rejected where the spec is made, not as a solver failure after
     # RuntimeWarnings: an +inf weight's zero image would make inf * 0 = NaN
-    # in the dual value and the objective
+    # in the dual value and the objective; so is a tau outside (0, 1)
     with pytest.raises(ValueError):
         SubproblemSpec(**_bad_spec(case))
 
 
 def test_ppa_asymmetric_tau_lp_oracle():
-    problem, _ = make_problem(5, 50, 20, tau=0.75)
+    problem, _ = make_problem(5, 50, 20)
     weights = np.full(20, 0.07)
-    spec = SubproblemSpec(problem=problem, weights=weights)
+    spec = SubproblemSpec(problem=problem, weights=weights, tau=0.75)
     state, report = ppa_solve(spec)
-    assert report.objective == pytest.approx(lp_oracle(problem, weights), rel=1e-6)
+    assert report.objective == pytest.approx(lp_oracle(spec), rel=1e-6)
 
 
 def test_ppa_reports_nonconvergence_gracefully(monkeypatch):

@@ -74,7 +74,7 @@ def _load_csv_rowwise(path, has_header=False, add_intercept=False):
     X, y = data[:, :-1], data[:, -1]
     if add_intercept:
         X = np.hstack([np.ones((X.shape[0], 1)), X])
-    return QuantileProblem(X, y, tau=0.5, intercept_column=add_intercept)
+    return QuantileProblem(X, y, intercept_column=add_intercept)
 
 
 def _outcome(loader, path, **kw):
@@ -218,32 +218,38 @@ def test_load_csv_edge_cases_match_rowwise(tmp_path, text, has_header):
         assert expected == ("error", "no rows")
 
 
+def test_problem_takes_no_quantile_level():
+    # the quantile level belongs to the solve: a third positional argument
+    # is refused, not read as intercept_column
+    with pytest.raises(TypeError):
+        QuantileProblem(np.eye(2), np.zeros(2), 0.5)
+    assert not hasattr(QuantileProblem(np.eye(2), np.zeros(2)), "tau")
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
-        QuantileProblem(np.eye(2), np.zeros(2), tau=1.5)
+        QuantileProblem(np.array([[np.inf, 1.0]]), np.zeros(1))
     with pytest.raises(ValueError):
-        QuantileProblem(np.array([[np.inf, 1.0]]), np.zeros(1), tau=0.5)
-    with pytest.raises(ValueError):
-        QuantileProblem(np.array([[2.0, 1.0]]), np.zeros(1), tau=0.5, intercept_column=True)
-    pr = QuantileProblem(np.eye(3), np.arange(3.0), tau=0.25)
+        QuantileProblem(np.array([[2.0, 1.0]]), np.zeros(1), intercept_column=True)
+    pr = QuantileProblem(np.eye(3), np.arange(3.0))
     with pytest.raises(ValueError):
         pr.design[0, 0] = 7.0  # frozen arrays
 
 
 def test_standardize_basic():
     X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-    pr = QuantileProblem(X[:, :1], np.zeros(3), tau=0.5)
+    pr = QuantileProblem(X[:, :1], np.zeros(3))
     out = standardize(pr)
     col = out.design[:, 0]
     assert abs(col.mean()) < 1e-12
     assert abs(col.std(ddof=1) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="column 1"):
-        standardize(QuantileProblem(X, np.zeros(3), tau=0.5))
+        standardize(QuantileProblem(X, np.zeros(3)))
 
 
 def test_standardize_idempotent(rng):
     X = rng.standard_normal((40, 6))
-    pr = QuantileProblem(X, rng.standard_normal(40), tau=0.5)
+    pr = QuantileProblem(X, rng.standard_normal(40))
     once = standardize(pr)
     twice = standardize(once)
     assert np.max(np.abs(once.design - twice.design)) < 1e-10
@@ -251,7 +257,7 @@ def test_standardize_idempotent(rng):
 
 def test_standardize_skips_intercept(rng):
     X = np.hstack([np.ones((30, 1)), rng.standard_normal((30, 4))])
-    pr = QuantileProblem(X, rng.standard_normal(30), tau=0.5, intercept_column=True)
+    pr = QuantileProblem(X, rng.standard_normal(30), intercept_column=True)
     out = standardize(pr)
     assert np.all(out.design[:, 0] == 1.0)
 

@@ -53,8 +53,8 @@ def newton_pattern(q2, q1, omega, gamma, tau):
     value at the stacked point (u; X^T u) = -gamma (q2; q1) leaves q2 and q1
     as they are when gamma is a power of two."""
     q2, q1 = np.asarray(q2, float), np.asarray(q1, float)
-    pr = QuantileProblem(np.ones((q2.size, q1.size)), np.zeros(q2.size), tau=tau)
-    work = _DualWork(SubproblemSpec(problem=pr, weights=omega), np.zeros(q1.size), gamma)
+    pr = QuantileProblem(np.ones((q2.size, q1.size)), np.zeros(q2.size))
+    work = _DualWork(SubproblemSpec(problem=pr, weights=omega, tau=tau), np.zeros(q1.size), gamma)
     work.value(np.concatenate((-gamma * q2, -gamma * q1)))
     assert np.array_equal(work.q2, q2) and np.array_equal(work.q1, q1)
     return work.pz != 0.0, work.pb != 0.0

@@ -8,6 +8,11 @@ None when numpy ships no such library (a numpy built against a system BLAS).
 OpenBLAS's ``dgesv``, behind ``np.linalg.solve``, is ``dgetrf`` followed by
 ``dgetrs``, so at one BLAS thread lu_factor and lu_solve give its bits,
 with the library or without it (see each).
+
+Importing sqreg imports this module, which sets the library to one thread
+for the whole process: every output's bits then do not depend on the thread
+count, and pool workers do not oversubscribe the cores. A numpy without the
+library is left as it is.
 """
 
 import ctypes
@@ -38,6 +43,9 @@ dgetrf = _handle("scipy_dgetrf_64_", [_INT, _INT, _PTR, _INT, _PTR, _INT])
 # Fortran length of the string trans
 dgetrs = _handle("scipy_dgetrs_64_",
                  [ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _INT, ctypes.c_size_t])
+
+if set_num_threads is not None:
+    set_num_threads(1)
 
 
 def _check(a, piv):

@@ -2,8 +2,9 @@
 
 Outputs are JSON for single fits, CSV for sweeps and JSON-lines for benchmark
 tables; every randomized command takes --seed and reproduces identical output
-bytes apart from wall-time fields. Exit codes: 0 success/convergence, 1 input
-or usage error, 2 non-convergence or solver failure.
+bytes apart from wall-time fields, at any BLAS thread count. Exit codes: 0
+success/convergence, 1 input or usage error, 2 non-convergence or solver
+failure.
 """
 
 import argparse
@@ -16,7 +17,6 @@ import time
 
 import numpy as np
 
-from . import _openblas
 from .admm import admm_solve
 from .datagen import BETA_PATTERNS, HETERO_MAIN, SyntheticSpec, generate, selection_metrics
 from .mscra import MscraConfig, lambda_grid, mscra_fit
@@ -254,20 +254,11 @@ def cmd_tau_sweep(args):
     return 0
 
 
-def _pin_blas_threads():
-    """One OpenBLAS thread in this process, so that its BLAS sums, and with
-    them every output, do not depend on the thread count. ``main`` calls it
-    for every command, and it is the pool-worker initializer, because a
-    worker started by forkserver or spawn does not inherit the setting; one
-    thread per worker also keeps workers from oversubscribing the cores. A
-    numpy without its bundled scipy-openblas library is left as it is."""
-    if _openblas.set_num_threads is not None:
-        _openblas.set_num_threads(1)
-
-
 def _run_pool(jobs, threads):
     """The records of ``_fit_job`` over ``jobs``, in order, on at most one
-    worker per job. Forked workers start with the parent's dataset memo."""
+    worker per job. Forked workers start with the parent's dataset memo.
+    Every worker has sqreg imported, forked with it or importing it to
+    unpickle its jobs, so it runs at one OpenBLAS thread (``sqreg._openblas``)."""
     # a fork-started pool forks all max_workers processes at the first submit
     workers = min(threads if threads and threads > 0 else (os.cpu_count() or 1), len(jobs))
     if workers <= 1:
@@ -277,8 +268,7 @@ def _run_pool(jobs, threads):
     # importing it again
     import scipy.special  # noqa: F401
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                initializer=_pin_blas_threads) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_fit_job, jobs))
 
 
@@ -370,7 +360,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _pin_blas_threads()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -208,7 +208,7 @@ def test_pool_starts_at_most_one_worker_per_job(tmp_path, monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -287,25 +287,38 @@ def test_tau_sweep_process_pool_matches_serial(tmp_path):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _sqreg_subprocess(args, blas_threads):
-    """The output of ``sqreg args`` in a fresh interpreter; blas_threads None
-    keeps the library's default thread count."""
+def _python_subprocess(argv, blas_threads):
+    """The output of ``python argv`` in a fresh interpreter that imports this
+    sqreg; blas_threads None keeps the library's default thread count."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(sqreg.__file__)), env.get("PYTHONPATH", "")])
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    proc = subprocess.run([sys.executable, "-m", "sqreg.cli", *args], env=env,
+    proc = subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     return proc.stdout
+
+
+def _sqreg_subprocess(args, blas_threads):
+    """The output of ``sqreg args`` in a fresh interpreter (see
+    _python_subprocess)."""
+    return _python_subprocess(["-m", "sqreg.cli", *args], blas_threads)
+
+
+TAU_SWEEP_N200 = ["tau-sweep", "--n", "200", "--tau-min", "0.3", "--tau-max", "0.7",
+                  "--tau-step", "0.2", "--reps", "2", "--seed", "2"]
+
+
+def _without_wall(text):
+    """tau-sweep output lines without their last field, wall_ms."""
+    return [line.rsplit(",", 1)[0] for line in text.splitlines()]
 
 
 def _tau_sweep_subprocess(extra_args, blas_threads):
     """A small tau-sweep in a fresh interpreter (see _sqreg_subprocess);
     returns the output without wall_ms."""
-    args = ["tau-sweep", "--n", "200", "--tau-min", "0.3", "--tau-max", "0.7",
-            "--tau-step", "0.2", "--reps", "2", "--seed", "2", *extra_args]
-    return [line.rsplit(",", 1)[0] for line in _sqreg_subprocess(args, blas_threads).splitlines()]
+    return _without_wall(_sqreg_subprocess([*TAU_SWEEP_N200, *extra_args], blas_threads))
 
 
 def test_pool_workers_pin_blas_threads():
@@ -318,13 +331,39 @@ def test_pool_workers_pin_blas_threads():
     assert pooled == serial
 
 
+POOL_START_METHOD_DRIVER = """\
+import multiprocessing
+import sys
+
+if __name__ == "__main__":
+    from sqreg.cli import main
+
+    multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_workers_pin_blas_threads_under_start_method(tmp_path, method):
+    # a spawn or forkserver worker inherits no OpenBLAS setting from the
+    # parent; it imports sqreg only to unpickle its jobs, and that pins it.
+    # The guard keeps spawn from running the driver again in each worker
+    driver = tmp_path / "driver.py"
+    driver.write_text(POOL_START_METHOD_DRIVER)
+    pooled = _without_wall(_python_subprocess(
+        [str(driver), method, *TAU_SWEEP_N200, "--threads", "2"], blas_threads=2))
+    serial = _tau_sweep_subprocess(["--threads", "1"], blas_threads=1)
+    assert pooled[0] == "tau,l2_error,converged" and len(pooled) == 4
+    assert pooled == serial
+
+
 def test_output_does_not_depend_on_blas_threads(tmp_path):
-    # every command pins one BLAS thread in its own process: fits and a
-    # serial tau-sweep print the same bytes with the thread variables unset
-    # and at 1 and 2 threads; unpinned, 2 threads changed the p > n fit's
-    # err_k, the n > p fit's beta and this sweep's rows. The n > p fit
-    # solves 120 x 120 Newton systems by LU, where OpenBLAS's threaded
-    # factorization rounds differently from n = 100 up
+    # importing sqreg pins one BLAS thread in its process: fits and a serial
+    # tau-sweep print the same bytes with the thread variables unset and at
+    # 1 and 2 threads; unpinned, 2 threads changed the p > n fit's err_k,
+    # the n > p fit's beta and this sweep's rows. The n > p fit solves
+    # 120 x 120 Newton systems by LU, which OpenBLAS's threaded
+    # factorization rounds differently
     stem, tall = str(tmp_path / "d"), str(tmp_path / "t")
     assert run(["datagen", "--n", "100", "--p", "300", "--noise-var", "2",
                 "--seed", "777000", "--out", stem]) == 0
@@ -338,6 +377,23 @@ def test_output_does_not_depend_on_blas_threads(tmp_path):
     assert fits[0].startswith('{"beta":') and fits[0] == fits[1] == fits[2]
     assert tall_fits[0].startswith('{"beta":') and tall_fits[0] == tall_fits[1] == tall_fits[2]
     assert len(sweeps[0]) == 4 and sweeps[0] == sweeps[1] == sweeps[2]
+
+
+LIBRARY_FIT = """\
+import hashlib
+from sqreg import MscraConfig, SyntheticSpec, generate, lambda_grid, mscra_fit
+pr = generate(SyntheticSpec(n=160, p=60, seed=1)).problem
+final, _ = mscra_fit(pr, MscraConfig(tau=0.5, lam=float(lambda_grid(pr, 0.1, 0.1, 1)[0])))
+print(hashlib.sha256(final.beta.tobytes()).hexdigest())
+"""
+
+
+def test_library_fit_does_not_depend_on_blas_threads():
+    # a fit called from the caller's own code, not through sqreg.cli.main,
+    # gets the same bits at every BLAS thread count; unpinned, 2 threads
+    # changed this fit's beta (its Newton systems are 160 x 160)
+    hashes = [_python_subprocess(["-c", LIBRARY_FIT], t) for t in (None, 1, 2)]
+    assert len(hashes[0].strip()) == 64 and hashes[0] == hashes[1] == hashes[2]
 
 
 @pytest.mark.parametrize("module", ["sqreg", "sqreg.cli"])
